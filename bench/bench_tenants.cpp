@@ -1,5 +1,6 @@
 // Multi-tenant co-residence sweep — the attack.* workloads
-// (workloads/attack.h) audited end-to-end through sim::measure_tenant:
+// (workloads/attack.h) audited end-to-end as a leakage sweep
+// (sim::run_leakage_sweep; the points are leakage-family cache entries):
 // for every point, a victim tenant and a co-resident attacker tenant are
 // interleaved by sim::Scheduler over one shared mem::Hierarchy, the
 // attacker's probe observations feed both leakage-verdict tiers, and its
@@ -49,11 +50,11 @@ int main(int argc, char** argv) {
       "attack.prime_probe?victim=crypto.modexp&width=4&size=8&bits=8&iters=2",
       "attack.flush_reload?victim=crypto.modexp&width=4&size=8&bits=8&iters=2",
   };
-  auto jobs = sim::tenant_grid(specs, opt);
+  auto jobs = sim::leakage_grid(specs, opt);
   sim::apply_job_filter(jobs, cli);
 
   const Stopwatch sweep_sw;
-  const auto run = sim::run_tenant_sweep(jobs, sim::sweep_options(cli));
+  const auto run = sim::run_leakage_sweep(jobs, sim::sweep_options(cli));
   const double secs = sweep_sw.elapsed_seconds();
 
   bool all_ok = true;

@@ -11,8 +11,7 @@
 #include "sim/sweep_codec.h"
 #include "util/check.h"
 #include "util/fingerprint.h"
-#include "workloads/scenarios.h"
-#include "workloads/synthetic.h"
+#include "workloads/attack.h"
 
 namespace sempe::sim {
 
@@ -308,75 +307,6 @@ SweepRun<LintPoint> run_lint_sweep(const std::vector<LintJob>& jobs,
       [](const LintPoint& p) { return encode_point(p); }, decode_lint_point);
 }
 
-SweepRun<PerfPoint> run_perf_sweep(const std::vector<PerfJob>& jobs,
-                                   const SweepOptions& opt) {
-  workloads::WorkloadRegistry::instance();  // pre-touch, as above
-  return run_sweep_impl<PerfJob, PerfPoint>(
-      jobs, opt,
-      [](const PerfJob& j) { return measure_perf(j.spec, j.opt); },
-      [](const PerfPoint& p) { return encode_point(p); }, decode_perf_point);
-}
-
-SweepRun<TenantPoint> run_tenant_sweep(const std::vector<TenantJob>& jobs,
-                                       const SweepOptions& opt) {
-  workloads::WorkloadRegistry::instance();  // pre-touch, as above
-  return run_sweep_impl<TenantJob, TenantPoint>(
-      jobs, opt,
-      [](const TenantJob& j) { return measure_tenant(j.spec, j.opt); },
-      [](const TenantPoint& p) { return encode_point(p); },
-      decode_tenant_point);
-}
-
-namespace {
-
-template <typename Point>
-std::vector<Point> sweep_points(SweepRun<Point> run) {
-  return std::move(run.points);
-}
-
-SweepOptions threads_only(usize threads) {
-  SweepOptions opt;
-  opt.threads = threads;
-  return opt;
-}
-
-}  // namespace
-
-std::vector<MicrobenchPoint> run_microbench_jobs(
-    const std::vector<MicrobenchJob>& jobs, usize threads) {
-  return sweep_points(run_microbench_sweep(jobs, threads_only(threads)));
-}
-
-std::vector<DjpegPoint> run_djpeg_jobs(const std::vector<DjpegJob>& jobs,
-                                       usize threads) {
-  return sweep_points(run_djpeg_sweep(jobs, threads_only(threads)));
-}
-
-std::vector<WorkloadPoint> run_workload_jobs(
-    const std::vector<WorkloadJob>& jobs, usize threads) {
-  return sweep_points(run_workload_sweep(jobs, threads_only(threads)));
-}
-
-std::vector<LeakagePoint> run_leakage_jobs(
-    const std::vector<LeakageJob>& jobs, usize threads) {
-  return sweep_points(run_leakage_sweep(jobs, threads_only(threads)));
-}
-
-std::vector<LintPoint> run_lint_jobs(const std::vector<LintJob>& jobs,
-                                     usize threads) {
-  return sweep_points(run_lint_sweep(jobs, threads_only(threads)));
-}
-
-std::vector<PerfPoint> run_perf_jobs(const std::vector<PerfJob>& jobs,
-                                     usize threads) {
-  return sweep_points(run_perf_sweep(jobs, threads_only(threads)));
-}
-
-std::vector<TenantPoint> run_tenant_jobs(const std::vector<TenantJob>& jobs,
-                                         usize threads) {
-  return sweep_points(run_tenant_sweep(jobs, threads_only(threads)));
-}
-
 std::vector<MicrobenchJob> microbench_grid(
     const std::vector<workloads::Kind>& kinds, const std::vector<usize>& widths,
     const MicrobenchOptions& opt) {
@@ -455,46 +385,6 @@ std::vector<LintJob> lint_grid(const std::vector<std::string>& specs,
     jobs.push_back(std::move(j));
   }
   return jobs;
-}
-
-std::vector<PerfJob> perf_grid(const std::vector<std::string>& specs,
-                               const MicrobenchOptions& opt) {
-  std::vector<PerfJob> jobs;
-  jobs.reserve(specs.size());
-  for (const std::string& spec : specs) {
-    PerfJob j;
-    j.label = spec;
-    j.spec = spec;
-    j.opt = opt;
-    jobs.push_back(std::move(j));
-  }
-  return jobs;
-}
-
-std::vector<TenantJob> tenant_grid(const std::vector<std::string>& specs,
-                                   const security::AuditOptions& opt) {
-  std::vector<TenantJob> jobs;
-  jobs.reserve(specs.size());
-  for (const std::string& spec : specs) {
-    TenantJob j;
-    j.label = spec;
-    j.spec = spec;
-    j.opt = opt;
-    jobs.push_back(std::move(j));
-  }
-  return jobs;
-}
-
-std::vector<std::string> perf_sweep_specs(usize iters) {
-  std::vector<std::string> specs;
-  const std::string tail =
-      "?width=4&iters=" + std::to_string(iters) + "&secrets=1";
-  for (const workloads::SynthKind kind : workloads::all_synth_kinds())
-    specs.push_back(std::string("synthetic.") + workloads::synth_name(kind) +
-                    tail);
-  for (const workloads::ScenarioKind kind : workloads::all_scenario_kinds())
-    specs.push_back(std::string(workloads::scenario_name(kind)) + tail);
-  return specs;
 }
 
 const std::vector<workloads::Kind>& all_kinds() {
@@ -699,18 +589,18 @@ std::string leakage_json_impl(const std::string& experiment,
 }
 
 std::string tenant_json_impl(const std::string& experiment,
-                             const std::vector<TenantJob>& jobs,
-                             const std::vector<TenantPoint>& points,
+                             const std::vector<LeakageJob>& jobs,
+                             const std::vector<LeakagePoint>& points,
                              const SweepView& view) {
   std::string out = json_header(experiment, distinct_generators(jobs),
                                 "legacy,sempe,cte", view);
   for (usize i = 0; i < points.size(); ++i) {
-    const TenantPoint& p = points[i];
+    const LeakagePoint& p = points[i];
     const security::WorkloadAudit& a = p.audit;
     begin_point(out, view, i);
     append_kv_s(out, "label", jobs[view.global(i)].label);
     append_kv_s(out, "spec", a.spec);
-    append_kv_u64(out, "tenants", jobs[view.global(i)].tenants);
+    append_kv_u64(out, "tenants", workloads::kAttackTenants);
     append_kv_u64(out, "secret_width", a.secret_width);
     append_kv_u64(out, "samples", a.masks.size());
     append_kv_u64(out, "results_ok", p.results_ok() ? 1 : 0);
@@ -788,38 +678,6 @@ std::string lint_json_impl(const std::string& experiment,
                     (m != nullptr && !m->indistinguishable()) ? 1 : 0);
     }
     append_kv_u64(out, "audit_samples", p.audit.masks.size(), /*last=*/true);
-    out += i + 1 == points.size() ? "    }\n" : "    },\n";
-  }
-  json_footer(out);
-  return out;
-}
-
-std::string perf_json_impl(const std::string& experiment,
-                           const std::vector<PerfJob>& jobs,
-                           const std::vector<PerfPoint>& points,
-                           const SweepView& view) {
-  std::string out = json_header(experiment, distinct_generators(jobs),
-                                "legacy,sempe,cte", view);
-  for (usize i = 0; i < points.size(); ++i) {
-    const PerfPoint& pp = points[i];
-    const WorkloadPoint& p = pp.point;
-    begin_point(out, view, i);
-    // Deterministic fields first (byte-identical across --threads/hosts)...
-    append_kv_s(out, "label", jobs[view.global(i)].label);
-    append_kv_s(out, "spec", p.spec);
-    append_kv_u64(out, "results_ok", p.results_ok ? 1 : 0);
-    append_kv_u64(out, "baseline_cycles", p.baseline_cycles);
-    append_kv_u64(out, "sempe_cycles", p.sempe_cycles);
-    append_kv_u64(out, "cte_cycles", p.cte_cycles);
-    append_kv_u64(out, "baseline_instructions", p.baseline_instructions);
-    append_kv_u64(out, "sempe_instructions", p.sempe_instructions);
-    append_kv_u64(out, "cte_instructions", p.cte_instructions);
-    append_kv_u64(out, "total_instructions", pp.simulated_instructions());
-    // ...then the wall-clock measurement (the only nondeterministic lines;
-    // strip_perf_timing removes exactly these).
-    append_kv_f(out, "wall_ms", pp.wall_seconds * 1e3);
-    append_kv_f(out, "simulated_mips", pp.simulated_mips());
-    append_kv_f(out, "ns_per_instr", pp.ns_per_instruction(), /*last=*/true);
     out += i + 1 == points.size() ? "    }\n" : "    },\n";
   }
   json_footer(out);
@@ -909,51 +767,18 @@ std::string lint_json(const std::string& experiment,
                         sweep_view(run.points, run, jobs.size()));
 }
 
-std::string perf_json(const std::string& experiment,
-                      const std::vector<PerfJob>& jobs,
-                      const std::vector<PerfPoint>& points) {
-  SEMPE_CHECK(jobs.size() == points.size());
-  return perf_json_impl(experiment, jobs, points, SweepView{});
-}
-
-std::string perf_json(const std::string& experiment,
-                      const std::vector<PerfJob>& jobs,
-                      const SweepRun<PerfPoint>& run) {
-  return perf_json_impl(experiment, jobs, run.points,
-                        sweep_view(run.points, run, jobs.size()));
-}
-
 std::string tenant_json(const std::string& experiment,
-                        const std::vector<TenantJob>& jobs,
-                        const std::vector<TenantPoint>& points) {
+                        const std::vector<LeakageJob>& jobs,
+                        const std::vector<LeakagePoint>& points) {
   SEMPE_CHECK(jobs.size() == points.size());
   return tenant_json_impl(experiment, jobs, points, SweepView{});
 }
 
 std::string tenant_json(const std::string& experiment,
-                        const std::vector<TenantJob>& jobs,
-                        const SweepRun<TenantPoint>& run) {
+                        const std::vector<LeakageJob>& jobs,
+                        const SweepRun<LeakagePoint>& run) {
   return tenant_json_impl(experiment, jobs, run.points,
                           sweep_view(run.points, run, jobs.size()));
-}
-
-std::string strip_perf_timing(const std::string& json) {
-  static const char* const kTimingKeys[] = {"\"wall_ms\"", "\"simulated_mips\"",
-                                            "\"ns_per_instr\""};
-  std::string out;
-  out.reserve(json.size());
-  usize pos = 0;
-  while (pos < json.size()) {
-    usize eol = json.find('\n', pos);
-    if (eol == std::string::npos) eol = json.size() - 1;
-    const std::string line = json.substr(pos, eol - pos + 1);
-    bool timing = false;
-    for (const char* key : kTimingKeys)
-      timing = timing || line.find(key) != std::string::npos;
-    if (!timing) out += line;
-    pos = eol + 1;
-  }
-  return out;
 }
 
 BatchCli parse_batch_cli(int& argc, char** argv) {

@@ -184,6 +184,9 @@ struct WorkloadJob {
 };
 
 /// One workload spec audited over the secret space (see measure_leakage).
+/// Co-residence attack specs (attack.*, workloads/attack.h) are ordinary
+/// leakage jobs: the victim sub-spec, probe knobs and scheduler quantum
+/// all travel inside the spec parameters.
 struct LeakageJob {
   std::string label;  // e.g. "synthetic.cond_branch"
   std::string spec;   // e.g. "synthetic.cond_branch?width=3&iters=2"
@@ -196,31 +199,6 @@ struct LintJob {
   std::string label;  // e.g. "synthetic.cond_branch"
   std::string spec;   // e.g. "synthetic.cond_branch?width=3&iters=2"
   security::AuditOptions opt{};  // for the dynamic cross-check half
-};
-
-/// One workload spec timed for host throughput (see measure_perf). The
-/// job form is identical to WorkloadJob; the result additionally carries
-/// wall-clock fields.
-struct PerfJob {
-  std::string label;
-  std::string spec;
-  MicrobenchOptions opt{};
-};
-
-/// One co-residence attack spec (workloads/attack.h) audited end-to-end
-/// over the secret space (see measure_tenant): the attacker tenant's probe
-/// observations judged by both verdict tiers, plus the per-mode key-bit
-/// recovery rate. `tenants` is the co-residence degree; the attack
-/// workloads schedule exactly 2 contexts (victim + attacker) today, but
-/// the count is part of the job identity so a future N-tenant grid can
-/// never collide with 2-tenant cache entries.
-struct TenantJob {
-  std::string label;  // e.g. "attack.prime_probe/crypto.modexp"
-  std::string spec;   // e.g. "attack.prime_probe?victim=crypto.modexp";
-                      // victim spec, probe knobs, and scheduler quantum
-                      // all travel inside the spec parameters
-  usize tenants = 2;
-  security::AuditOptions opt{};
 };
 
 // ---------------------------------------------------------------------------
@@ -269,10 +247,6 @@ SweepRun<LeakagePoint> run_leakage_sweep(const std::vector<LeakageJob>& jobs,
                                          const SweepOptions& opt);
 SweepRun<LintPoint> run_lint_sweep(const std::vector<LintJob>& jobs,
                                    const SweepOptions& opt);
-SweepRun<PerfPoint> run_perf_sweep(const std::vector<PerfJob>& jobs,
-                                   const SweepOptions& opt);
-SweepRun<TenantPoint> run_tenant_sweep(const std::vector<TenantJob>& jobs,
-                                       const SweepOptions& opt);
 
 /// Map a sweep's points back onto the full job grid: result[g] is the
 /// point of job g, or nullptr when job g was not part of this run
@@ -285,25 +259,6 @@ std::vector<const Point*> points_by_job(const SweepRun<Point>& run) {
     by_job[run.indices[k]] = &run.points[k];
   return by_job;
 }
-
-/// Run every job through measure_microbench / measure_djpeg /
-/// measure_workload / measure_leakage on `threads` workers; results come
-/// back in job order. Legacy entry points: equivalent to run_*_sweep with
-/// only `threads` set.
-std::vector<MicrobenchPoint> run_microbench_jobs(
-    const std::vector<MicrobenchJob>& jobs, usize threads);
-std::vector<DjpegPoint> run_djpeg_jobs(const std::vector<DjpegJob>& jobs,
-                                       usize threads);
-std::vector<WorkloadPoint> run_workload_jobs(
-    const std::vector<WorkloadJob>& jobs, usize threads);
-std::vector<LeakagePoint> run_leakage_jobs(
-    const std::vector<LeakageJob>& jobs, usize threads);
-std::vector<LintPoint> run_lint_jobs(const std::vector<LintJob>& jobs,
-                                     usize threads);
-std::vector<PerfPoint> run_perf_jobs(const std::vector<PerfJob>& jobs,
-                                     usize threads);
-std::vector<TenantPoint> run_tenant_jobs(const std::vector<TenantJob>& jobs,
-                                         usize threads);
 
 /// Cartesian sweep (kind-major, so a figure's series stay contiguous).
 std::vector<MicrobenchJob> microbench_grid(
@@ -320,15 +275,6 @@ std::vector<LeakageJob> leakage_grid(const std::vector<std::string>& specs,
                                      const security::AuditOptions& opt);
 std::vector<LintJob> lint_grid(const std::vector<std::string>& specs,
                                const security::AuditOptions& opt);
-std::vector<PerfJob> perf_grid(const std::vector<std::string>& specs,
-                               const MicrobenchOptions& opt);
-std::vector<TenantJob> tenant_grid(const std::vector<std::string>& specs,
-                                   const security::AuditOptions& opt);
-
-/// The representative registry specs bench_perf times: every synthetic
-/// kernel plus every crypto.*/ds.* scenario at the widest sweep setting
-/// (width 4, all secrets true — every mode executes every level).
-std::vector<std::string> perf_sweep_specs(usize iters);
 
 /// The four Fig. 7 microbenchmark kinds.
 const std::vector<workloads::Kind>& all_kinds();
@@ -362,27 +308,13 @@ std::string lint_json(const std::string& experiment,
                       const std::vector<LintJob>& jobs,
                       const std::vector<LintPoint>& points);
 
-/// Tenant co-residence results: per-point recovery rates per mode, plus
-/// the greppable gate flags (`legacy_recovery_above_chance`,
-/// `sempe_at_chance`, `cte_at_chance`) CI pins the acceptance criterion
-/// on.
+/// The co-residence report view over a leakage sweep of attack.* specs:
+/// per-point recovery rates per mode, plus the greppable gate flags
+/// (`legacy_recovery_above_chance`, `sempe_at_chance`, `cte_at_chance`)
+/// CI pins the acceptance criterion on.
 std::string tenant_json(const std::string& experiment,
-                        const std::vector<TenantJob>& jobs,
-                        const std::vector<TenantPoint>& points);
-
-/// Perf results. Unlike every other document this one intentionally
-/// carries wall-clock fields (wall_ms, simulated_mips, ns_per_instr) —
-/// they are the measurement. All OTHER fields stay deterministic and
-/// thread-count invariant; strip_perf_timing() removes the timing lines so
-/// tests and CI can byte-compare the deterministic remainder.
-std::string perf_json(const std::string& experiment,
-                      const std::vector<PerfJob>& jobs,
-                      const std::vector<PerfPoint>& points);
-
-/// Drop the wall-clock lines ("wall_ms", "simulated_mips",
-/// "ns_per_instr") from a perf_json document, leaving the deterministic
-/// fields for byte comparison across --threads values or hosts.
-std::string strip_perf_timing(const std::string& json);
+                        const std::vector<LeakageJob>& jobs,
+                        const std::vector<LeakagePoint>& points);
 
 // SweepRun-aware emitters. `jobs` is always the FULL job list (shard
 // documents carry the same meta header as the unsharded run; labels
@@ -405,12 +337,9 @@ std::string leakage_json(const std::string& experiment,
 std::string lint_json(const std::string& experiment,
                       const std::vector<LintJob>& jobs,
                       const SweepRun<LintPoint>& run);
-std::string perf_json(const std::string& experiment,
-                      const std::vector<PerfJob>& jobs,
-                      const SweepRun<PerfPoint>& run);
 std::string tenant_json(const std::string& experiment,
-                        const std::vector<TenantJob>& jobs,
-                        const SweepRun<TenantPoint>& run);
+                        const std::vector<LeakageJob>& jobs,
+                        const SweepRun<LeakagePoint>& run);
 
 // ---------------------------------------------------------------------------
 // Shared bench CLI.

@@ -2,8 +2,6 @@
 
 #include <cstdlib>
 
-#include "util/clock.h"
-
 namespace sempe::sim {
 
 using workloads::BuiltMicrobench;
@@ -173,17 +171,6 @@ LeakagePoint measure_leakage(const std::string& spec,
   return pt;
 }
 
-TenantPoint measure_tenant(const std::string& spec,
-                           const security::AuditOptions& opt) {
-  const workloads::WorkloadSpec parsed = workloads::WorkloadSpec::parse(spec);
-  if (!workloads::WorkloadRegistry::instance().resolve(parsed.name).is_attack())
-    throw SimError("tenant sweep requires an attack.* workload, got '" +
-                   spec + "'");
-  TenantPoint pt;
-  pt.audit = security::audit_workload(spec, opt);
-  return pt;
-}
-
 namespace {
 
 std::string join_lines(const std::vector<std::string>& lines) {
@@ -257,15 +244,6 @@ LintPoint measure_lint(const std::string& spec,
         "secret_width > 0 but the natural variant lints clean under the "
         "legacy policy (lint lost the taint)");
 
-  return pt;
-}
-
-PerfPoint measure_perf(const std::string& spec,
-                       const MicrobenchOptions& opt) {
-  PerfPoint pt;
-  const Stopwatch sw;
-  pt.point = measure_workload(spec, opt);
-  pt.wall_seconds = sw.elapsed_seconds();
   return pt;
 }
 

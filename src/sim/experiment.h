@@ -132,7 +132,11 @@ WorkloadPoint measure_workload(const std::string& spec,
                                const MicrobenchOptions& opt = {});
 
 /// One registry-resolved workload spec swept over the secret space: the
-/// leakage audit (security/audit.h) packaged as a batch-runner point.
+/// leakage audit (security/audit.h) packaged as a batch-runner point. For
+/// a co-residence attack spec (attack.prime_probe / attack.flush_reload,
+/// workloads/attack.h) each mode runs the full two-tenant experiment, the
+/// attacker's observation trace feeds both verdict tiers, and its guessed
+/// masks are scored into the key-bit recovery rate.
 struct LeakagePoint {
   security::WorkloadAudit audit;
 
@@ -144,28 +148,9 @@ struct LeakagePoint {
     const security::ModeAudit* m = audit.mode("legacy");
     return m != nullptr && !m->indistinguishable();
   }
-  /// Functional cross-check over every mode and secret sample.
-  bool results_ok() const {
-    for (const security::ModeAudit& m : audit.modes)
-      if (!m.results_ok) return false;
-    return true;
-  }
-};
-
-/// Audit `spec` over `opt.samples` secret vectors (see audit_workload).
-LeakagePoint measure_leakage(const std::string& spec,
-                             const security::AuditOptions& opt = {});
-
-/// One co-residence attack spec (attack.prime_probe / attack.flush_reload,
-/// workloads/attack.h) audited end-to-end: per mode, the full two-tenant
-/// experiment runs over the sampled secret space, the attacker's
-/// observation trace feeds both verdict tiers, and its guessed masks are
-/// scored into the key-bit recovery rate.
-struct TenantPoint {
-  security::WorkloadAudit audit;
-
   /// Fraction of the victim's key bits the attacker guessed right in
-  /// `mode` (0.0 when the mode was not run). Chance is ~0.5.
+  /// `mode` (0.0 when the mode was not run or the spec is not an attack).
+  /// Chance is ~0.5.
   double recovery_rate(const std::string& mode) const {
     const security::ModeAudit* m = audit.mode(mode);
     return m == nullptr ? 0.0 : m->recovery_rate();
@@ -179,8 +164,8 @@ struct TenantPoint {
     return m->indistinguishable() ||
            m->stat_verdict() == security::StatVerdict::kNoEvidence;
   }
-  /// The vulnerable-baseline half of the gate: the legacy core leaks the
-  /// key, i.e. recovery is decisively above the 50% chance line.
+  /// The vulnerable-baseline half of the attack gate: the legacy core
+  /// leaks the key, i.e. recovery is decisively above the 50% chance line.
   bool legacy_recovers(double min_rate = 0.9) const {
     return recovery_rate("legacy") >= min_rate;
   }
@@ -192,11 +177,9 @@ struct TenantPoint {
   }
 };
 
-/// Audit the attack spec `spec` over `opt.samples` secret vectors via the
-/// two-tenant co-residence path. Throws SimError when `spec` does not
-/// name an attack.* workload.
-TenantPoint measure_tenant(const std::string& spec,
-                           const security::AuditOptions& opt = {});
+/// Audit `spec` over `opt.samples` secret vectors (see audit_workload).
+LeakagePoint measure_leakage(const std::string& spec,
+                             const security::AuditOptions& opt = {});
 
 /// One registry-resolved workload spec statically linted (the taint lint,
 /// security/taint_lint.h) AND dynamically audited (security/audit.h), with
@@ -229,37 +212,6 @@ struct LintPoint {
 /// Lint `spec` statically and audit it dynamically, then cross-check.
 LintPoint measure_lint(const std::string& spec,
                        const security::AuditOptions& opt = {});
-
-/// One workload point with host wall-clock attached: the throughput unit
-/// of the bench_perf harness. Everything inside `point` is deterministic
-/// simulation output; the wall/derived fields are the only
-/// machine-dependent quantities the perf JSON carries.
-struct PerfPoint {
-  WorkloadPoint point;
-  double wall_seconds = 0.0;  // host time for the whole mode matrix
-
-  /// Simulated instructions retired across every executed mode.
-  u64 simulated_instructions() const {
-    return point.baseline_instructions + point.sempe_instructions +
-           point.cte_instructions;
-  }
-  /// Millions of simulated instructions per host second.
-  double simulated_mips() const {
-    return wall_seconds <= 0.0
-               ? 0.0
-               : static_cast<double>(simulated_instructions()) /
-                     (wall_seconds * 1e6);
-  }
-  /// Host nanoseconds per simulated instruction.
-  double ns_per_instruction() const {
-    const u64 n = simulated_instructions();
-    return n == 0 ? 0.0 : wall_seconds * 1e9 / static_cast<double>(n);
-  }
-};
-
-/// measure_workload(spec, opt) wrapped in a wall-clock measurement.
-PerfPoint measure_perf(const std::string& spec,
-                       const MicrobenchOptions& opt = {});
 
 /// Benchmark scaling knobs from the environment (so `make bench` stays
 /// fast by default but full-size runs are one env var away):

@@ -63,7 +63,7 @@ void append_u64(std::string& out, const char* key, u64 v) {
   out += std::to_string(v);
 }
 
-/// The MicrobenchOptions fields measure_workload / measure_perf read —
+/// The MicrobenchOptions fields measure_workload reads —
 /// the machine knobs. iterations/size/input_seed are spec-controlled for
 /// registry workloads and must NOT perturb their keys.
 std::string machine_knobs_text(const MicrobenchOptions& opt) {
@@ -157,32 +157,6 @@ JobIdentity job_identity(const LintJob& job, const std::string& fingerprint) {
   id.family = kLintFamily;
   id.spec = canonical_spec_key(job.spec);
   id.machine = audit_text(job.opt);
-  id.modes = "legacy,sempe,cte";
-  id.fingerprint = fingerprint;
-  return id;
-}
-
-JobIdentity job_identity(const PerfJob& job, const std::string& fingerprint) {
-  JobIdentity id;
-  id.family = kPerfFamily;
-  id.spec = canonical_spec_key(job.spec);
-  id.machine = machine_knobs_text(job.opt);
-  id.modes = "legacy,sempe,cte";
-  id.fingerprint = fingerprint;
-  return id;
-}
-
-JobIdentity job_identity(const TenantJob& job, const std::string& fingerprint) {
-  // The attack spec carries the victim sub-spec, the probe-shape knobs,
-  // and the scheduler quantum as ordinary parameters, so canonicalization
-  // makes the key sensitive to all of them; the co-residence degree is a
-  // machine coordinate of its own.
-  JobIdentity id;
-  id.family = kTenantFamily;
-  id.spec = canonical_spec_key(job.spec);
-  id.machine = "tenants=" + std::to_string(job.tenants);
-  const std::string audit = audit_text(job.opt);
-  if (!audit.empty()) id.machine += " " + audit;
   id.modes = "legacy,sempe,cte";
   id.fingerprint = fingerprint;
   return id;

@@ -66,8 +66,6 @@ JobIdentity job_identity(const WorkloadJob& job,
 JobIdentity job_identity(const LeakageJob& job,
                          const std::string& fingerprint);
 JobIdentity job_identity(const LintJob& job, const std::string& fingerprint);
-JobIdentity job_identity(const PerfJob& job, const std::string& fingerprint);
-JobIdentity job_identity(const TenantJob& job, const std::string& fingerprint);
 
 /// job_identity(job, fingerprint).key() for any job family.
 template <typename Job>

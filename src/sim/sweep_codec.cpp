@@ -193,46 +193,6 @@ pipeline::PipelineStats get_pipeline_stats(const PointReader& r,
   return s;
 }
 
-void put_workload_point(PointWriter& w, const WorkloadPoint& p) {
-  w.put_str("spec", p.spec);
-  w.put_bool("has_cte", p.has_cte);
-  w.put_bool("results_ok", p.results_ok);
-  w.put_u64("checks.n", p.checks.size());
-  for (usize i = 0; i < p.checks.size(); ++i) {
-    w.put_str(idx("checks.", i, "mode"), p.checks[i].mode);
-    w.put_bool(idx("checks.", i, "ok"), p.checks[i].ok);
-    w.put_str(idx("checks.", i, "detail"), p.checks[i].detail);
-  }
-  w.put_u64("baseline_cycles", p.baseline_cycles);
-  w.put_u64("sempe_cycles", p.sempe_cycles);
-  w.put_u64("cte_cycles", p.cte_cycles);
-  w.put_u64("baseline_instructions", p.baseline_instructions);
-  w.put_u64("sempe_instructions", p.sempe_instructions);
-  w.put_u64("cte_instructions", p.cte_instructions);
-}
-
-WorkloadPoint get_workload_point(const PointReader& r) {
-  WorkloadPoint p;
-  p.spec = r.get_str("spec");
-  p.has_cte = r.get_bool("has_cte");
-  p.results_ok = r.get_bool("results_ok");
-  const usize n = r.get_u64("checks.n");
-  for (usize i = 0; i < n; ++i) {
-    ModeResultCheck c;
-    c.mode = r.get_str(idx("checks.", i, "mode"));
-    c.ok = r.get_bool(idx("checks.", i, "ok"));
-    c.detail = r.get_str(idx("checks.", i, "detail"));
-    p.checks.push_back(std::move(c));
-  }
-  p.baseline_cycles = r.get_u64("baseline_cycles");
-  p.sempe_cycles = r.get_u64("sempe_cycles");
-  p.cte_cycles = r.get_u64("cte_cycles");
-  p.baseline_instructions = r.get_u64("baseline_instructions");
-  p.sempe_instructions = r.get_u64("sempe_instructions");
-  p.cte_instructions = r.get_u64("cte_instructions");
-  return p;
-}
-
 void put_audit(PointWriter& w, const std::string& p,
                const security::WorkloadAudit& a) {
   w.put_str(p + "spec", a.spec);
@@ -423,13 +383,45 @@ DjpegPoint decode_djpeg_point(const std::string& blob) {
 
 std::string encode_point(const WorkloadPoint& p) {
   PointWriter w(kWorkloadFamily);
-  put_workload_point(w, p);
+  w.put_str("spec", p.spec);
+  w.put_bool("has_cte", p.has_cte);
+  w.put_bool("results_ok", p.results_ok);
+  w.put_u64("checks.n", p.checks.size());
+  for (usize i = 0; i < p.checks.size(); ++i) {
+    w.put_str(idx("checks.", i, "mode"), p.checks[i].mode);
+    w.put_bool(idx("checks.", i, "ok"), p.checks[i].ok);
+    w.put_str(idx("checks.", i, "detail"), p.checks[i].detail);
+  }
+  w.put_u64("baseline_cycles", p.baseline_cycles);
+  w.put_u64("sempe_cycles", p.sempe_cycles);
+  w.put_u64("cte_cycles", p.cte_cycles);
+  w.put_u64("baseline_instructions", p.baseline_instructions);
+  w.put_u64("sempe_instructions", p.sempe_instructions);
+  w.put_u64("cte_instructions", p.cte_instructions);
   return w.str();
 }
 
 WorkloadPoint decode_workload_point(const std::string& blob) {
   const PointReader r(kWorkloadFamily, blob);
-  return get_workload_point(r);
+  WorkloadPoint p;
+  p.spec = r.get_str("spec");
+  p.has_cte = r.get_bool("has_cte");
+  p.results_ok = r.get_bool("results_ok");
+  const usize n = r.get_u64("checks.n");
+  for (usize i = 0; i < n; ++i) {
+    ModeResultCheck c;
+    c.mode = r.get_str(idx("checks.", i, "mode"));
+    c.ok = r.get_bool(idx("checks.", i, "ok"));
+    c.detail = r.get_str(idx("checks.", i, "detail"));
+    p.checks.push_back(std::move(c));
+  }
+  p.baseline_cycles = r.get_u64("baseline_cycles");
+  p.sempe_cycles = r.get_u64("sempe_cycles");
+  p.cte_cycles = r.get_u64("cte_cycles");
+  p.baseline_instructions = r.get_u64("baseline_instructions");
+  p.sempe_instructions = r.get_u64("sempe_instructions");
+  p.cte_instructions = r.get_u64("cte_instructions");
+  return p;
 }
 
 std::string encode_point(const LeakagePoint& p) {
@@ -471,37 +463,6 @@ LintPoint decode_lint_point(const std::string& blob) {
   p.audit = get_audit(r, "audit.");
   p.failures = get_string_list(r, "failures.");
   p.warnings = get_string_list(r, "warnings.");
-  return p;
-}
-
-std::string encode_point(const TenantPoint& p) {
-  PointWriter w(kTenantFamily);
-  put_audit(w, "audit.", p.audit);
-  return w.str();
-}
-
-TenantPoint decode_tenant_point(const std::string& blob) {
-  const PointReader r(kTenantFamily, blob);
-  TenantPoint p;
-  p.audit = get_audit(r, "audit.");
-  return p;
-}
-
-std::string encode_point(const PerfPoint& p) {
-  PointWriter w(kPerfFamily);
-  put_workload_point(w, p.point);
-  // The recorded wall clock: a cached perf point replays the throughput
-  // measured when it was stored (the deterministic fields are the part
-  // the byte-identity contract covers).
-  w.put_f64("wall_seconds", p.wall_seconds);
-  return w.str();
-}
-
-PerfPoint decode_perf_point(const std::string& blob) {
-  const PointReader r(kPerfFamily, blob);
-  PerfPoint p;
-  p.point = get_workload_point(r);
-  p.wall_seconds = r.get_f64("wall_seconds");
   return p;
 }
 

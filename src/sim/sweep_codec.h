@@ -56,23 +56,17 @@ inline constexpr const char* kDjpegFamily = "djpeg";
 inline constexpr const char* kWorkloadFamily = "workload";
 inline constexpr const char* kLeakageFamily = "leakage";
 inline constexpr const char* kLintFamily = "lint";
-inline constexpr const char* kPerfFamily = "perf";
-inline constexpr const char* kTenantFamily = "tenant";
 
 std::string encode_point(const MicrobenchPoint& p);
 std::string encode_point(const DjpegPoint& p);
 std::string encode_point(const WorkloadPoint& p);
 std::string encode_point(const LeakagePoint& p);
 std::string encode_point(const LintPoint& p);
-std::string encode_point(const PerfPoint& p);
-std::string encode_point(const TenantPoint& p);
 
 MicrobenchPoint decode_microbench_point(const std::string& blob);
 DjpegPoint decode_djpeg_point(const std::string& blob);
 WorkloadPoint decode_workload_point(const std::string& blob);
 LeakagePoint decode_leakage_point(const std::string& blob);
 LintPoint decode_lint_point(const std::string& blob);
-PerfPoint decode_perf_point(const std::string& blob);
-TenantPoint decode_tenant_point(const std::string& blob);
 
 }  // namespace sempe::sim

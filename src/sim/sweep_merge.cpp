@@ -1,5 +1,7 @@
 #include "sim/sweep_merge.h"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -28,10 +30,18 @@ struct ShardDoc {
                                         // trailing comma)
 };
 
+// Shard documents are read from outside the program, so the whole token
+// must be decimal digits: strtoull alone would read "3x" as 3 and accept
+// a sign or leading blanks.
 usize parse_usize(const std::string& text, const char* what) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str())
+  const bool digits =
+      !text.empty() && std::all_of(text.begin(), text.end(), [](char c) {
+        return c >= '0' && c <= '9';
+      });
+  errno = 0;
+  const unsigned long long v =
+      digits ? std::strtoull(text.c_str(), nullptr, 10) : 0;
+  if (!digits || errno == ERANGE)
     throw SimError(std::string("shard merge: bad ") + what + " '" + text + "'");
   return static_cast<usize>(v);
 }

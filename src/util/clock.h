@@ -1,11 +1,10 @@
 // The one monotonic host clock of the tree.
 //
-// Every wall-clock measurement — bench sweep timing, perf-point timing
-// (sim/experiment.h measure_perf), observability trace timestamps and the
-// run-report phase timers (src/obs/), progress ETAs — reads this helper
-// instead of std::chrono directly, so all host-time quantities are taken
-// from the same monotonic source and are mutually comparable. Simulated
-// time (Cycle) never passes through here.
+// Every wall-clock measurement — bench sweep timing, observability trace
+// timestamps and the run-report phase timers (src/obs/), progress ETAs —
+// reads this helper instead of std::chrono directly, so all host-time
+// quantities are taken from the same monotonic source and are mutually
+// comparable. Simulated time (Cycle) never passes through here.
 #pragma once
 
 #include <chrono>

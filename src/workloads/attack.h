@@ -32,6 +32,10 @@
 
 namespace sempe::workloads {
 
+/// The number of contexts an attack schedules on one sim::Scheduler: the
+/// victim tenant and the attacker tenant.
+inline constexpr usize kAttackTenants = 2;
+
 /// Register attack.prime_probe and attack.flush_reload. Called once by
 /// the WorkloadRegistry constructor.
 void register_attack_workloads(WorkloadRegistry& reg);

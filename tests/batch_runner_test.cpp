@@ -17,6 +17,13 @@ using sim::MicrobenchOptions;
 using sim::MicrobenchPoint;
 using workloads::Kind;
 
+/// Sweep options with every orchestration knob off but the worker count.
+sim::SweepOptions with_threads(usize n) {
+  sim::SweepOptions opt;
+  opt.threads = n;
+  return opt;
+}
+
 TEST(RunIndexed, ResultsComeBackInIndexOrder) {
   for (const usize threads : {usize{1}, usize{2}, usize{8}}) {
     const auto r =
@@ -89,9 +96,9 @@ std::vector<MicrobenchJob> small_grid() {
 
 TEST(BatchRunner, JsonIsByteIdenticalAcrossThreadCounts) {
   const auto jobs = small_grid();
-  const auto p1 = sim::run_microbench_jobs(jobs, 1);
-  const auto p2 = sim::run_microbench_jobs(jobs, 2);
-  const auto p8 = sim::run_microbench_jobs(jobs, 8);
+  const auto p1 = sim::run_microbench_sweep(jobs, with_threads(1)).points;
+  const auto p2 = sim::run_microbench_sweep(jobs, with_threads(2)).points;
+  const auto p8 = sim::run_microbench_sweep(jobs, with_threads(8)).points;
   const std::string j1 = sim::microbench_json("determinism", jobs, p1);
   const std::string j2 = sim::microbench_json("determinism", jobs, p2);
   const std::string j8 = sim::microbench_json("determinism", jobs, p8);
@@ -107,7 +114,7 @@ TEST(BatchRunner, JsonIsByteIdenticalAcrossThreadCounts) {
 
 TEST(BatchRunner, JsonOpensWithMetadataHeader) {
   const auto jobs = small_grid();
-  const auto points = sim::run_microbench_jobs(jobs, 2);
+  const auto points = sim::run_microbench_sweep(jobs, with_threads(2)).points;
   const std::string j = sim::microbench_json("header", jobs, points);
   // The meta object precedes the points array and carries the schema
   // version, experiment name, workload description, and mode list. The
@@ -133,8 +140,8 @@ TEST(BatchRunner, WorkloadJsonByteIdenticalAcrossThreadCountsInclHeader) {
        "synthetic.ilp?size=6&chains=2&depth=3&iters=2&width=2",
        "micro.ones?size=8&iters=2"},
       opt);
-  const auto p1 = sim::run_workload_jobs(jobs, 1);
-  const auto p4 = sim::run_workload_jobs(jobs, 4);
+  const auto p1 = sim::run_workload_sweep(jobs, with_threads(1)).points;
+  const auto p4 = sim::run_workload_sweep(jobs, with_threads(4)).points;
   const std::string j1 = sim::workload_json("determinism", jobs, p1);
   const std::string j4 = sim::workload_json("determinism", jobs, p4);
   EXPECT_EQ(j1, j4);

@@ -21,6 +21,13 @@
 namespace sempe::sim {
 namespace {
 
+/// Sweep options with every orchestration knob off but the worker count.
+SweepOptions with_threads(usize n) {
+  SweepOptions opt;
+  opt.threads = n;
+  return opt;
+}
+
 /// Blank every value inside the points array (`"key": value` -> `"key": _`)
 /// while leaving the meta header verbatim.
 std::string normalize_points(const std::string& json) {
@@ -100,7 +107,7 @@ TEST(GoldenJson, BenchSyntheticSchemaIsPinned) {
       "synthetic.stream?size=32&width=1&iters=1",
   };
   const auto jobs = workload_grid(specs, MicrobenchOptions{});
-  const auto points = run_workload_jobs(jobs, 1);
+  const auto points = run_workload_sweep(jobs, with_threads(1)).points;
   const std::string json = workload_json("synthetic", jobs, points);
   EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
   check_golden("bench_synthetic.json.golden", normalize_points(json));
@@ -114,7 +121,7 @@ TEST(GoldenJson, BenchLeakageSchemaIsPinned) {
       "synthetic.stream?size=32&width=1&iters=1",
   };
   const auto jobs = leakage_grid(specs, opt);
-  const auto points = run_leakage_jobs(jobs, 1);
+  const auto points = run_leakage_sweep(jobs, with_threads(1)).points;
   const std::string json = leakage_json("leakage", jobs, points);
   EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
   check_golden("bench_leakage.json.golden", normalize_points(json));
@@ -128,7 +135,7 @@ TEST(GoldenJson, BenchLintSchemaIsPinned) {
       "synthetic.stream?size=32&width=1&iters=1",
   };
   const auto jobs = lint_grid(specs, opt);
-  const auto points = run_lint_jobs(jobs, 1);
+  const auto points = run_lint_sweep(jobs, with_threads(1)).points;
   const std::string json = lint_json("lint", jobs, points);
   EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
   for (const auto& pt : points)
@@ -142,8 +149,8 @@ TEST(GoldenJson, BenchTenantsSchemaIsPinned) {
   const std::vector<std::string> specs = {
       "attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8&iters=2",
   };
-  const auto jobs = tenant_grid(specs, opt);
-  const auto points = run_tenant_jobs(jobs, 1);
+  const auto jobs = leakage_grid(specs, opt);
+  const auto points = run_leakage_sweep(jobs, with_threads(1)).points;
   const std::string json = tenant_json("tenants", jobs, points);
   EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
   // The acceptance-gate flags CI greps for are part of the pinned schema.
@@ -160,8 +167,8 @@ TEST(GoldenJson, BenchScenariosByteIdenticalAcrossThreadsAndPinned) {
   // guarantee is asserted here, not just in CI.
   const auto jobs =
       workload_grid(workloads::scenario_sweep_specs(1), MicrobenchOptions{});
-  const auto pts1 = run_workload_jobs(jobs, 1);
-  const auto pts4 = run_workload_jobs(jobs, 4);
+  const auto pts1 = run_workload_sweep(jobs, with_threads(1)).points;
+  const auto pts4 = run_workload_sweep(jobs, with_threads(4)).points;
   const std::string j1 = workload_json("scenarios", jobs, pts1);
   const std::string j4 = workload_json("scenarios", jobs, pts4);
   EXPECT_EQ(j1, j4);  // byte-identical across --threads values
@@ -187,7 +194,7 @@ TEST(GoldenJson, MetricsReportSchemaIsPinned) {
   obs::Session session(opt);
   {
     const obs::ScopedSession scope(&session);
-    run_workload_jobs(jobs, 2);
+    run_workload_sweep(jobs, with_threads(2));
   }
   const std::string report = obs::render_report("golden", session);
   EXPECT_NE(report.find("\"schema_version\": 1"), std::string::npos);

@@ -20,6 +20,13 @@ namespace {
 using workloads::WorkloadRegistry;
 using workloads::WorkloadSpec;
 
+/// Sweep options with every orchestration knob off but the worker count.
+sim::SweepOptions with_threads(usize n) {
+  sim::SweepOptions opt;
+  opt.threads = n;
+  return opt;
+}
+
 /// Small-but-real audit spec for a registry name: width=3 gives an
 /// exhaustive 2^3 = 8-vector secret space; sizes are shrunk so the full
 /// registry sweep stays test-sized. Unknown (future) names fall back to
@@ -364,8 +371,8 @@ TEST(LeakageJobs, BatchPathMatchesDirectAuditAndSerializes) {
   };
   const auto jobs = sim::leakage_grid(specs, opt);
   ASSERT_EQ(jobs.size(), 2u);
-  const auto pts1 = sim::run_leakage_jobs(jobs, 1);
-  const auto pts2 = sim::run_leakage_jobs(jobs, 2);
+  const auto pts1 = sim::run_leakage_sweep(jobs, with_threads(1)).points;
+  const auto pts2 = sim::run_leakage_sweep(jobs, with_threads(2)).points;
   ASSERT_EQ(pts1.size(), 2u);
 
   for (const auto& pt : pts1) {
@@ -395,8 +402,8 @@ TEST(LeakageJobs, StatisticalVerdictsReachTheJson) {
   opt.stat_budget = 96;
   const auto jobs = sim::leakage_grid(
       {"crypto.modexp?width=3&iters=1&size=4&bits=8"}, opt);
-  const auto pts1 = sim::run_leakage_jobs(jobs, 1);
-  const auto pts4 = sim::run_leakage_jobs(jobs, 4);
+  const auto pts1 = sim::run_leakage_sweep(jobs, with_threads(1)).points;
+  const auto pts4 = sim::run_leakage_sweep(jobs, with_threads(4)).points;
   const std::string j1 = sim::leakage_json("leakage", jobs, pts1);
   EXPECT_EQ(j1, sim::leakage_json("leakage", jobs, pts4));
   EXPECT_NE(j1.find("\"legacy_stat_verdict\": \"leak\""), std::string::npos)

@@ -262,7 +262,9 @@ TEST(Session, MetricsReportIsThreadCountInvariant) {
     opt.metrics = true;
     Session s(opt);
     const ScopedSession scope(&s);
-    sim::run_workload_jobs(jobs, threads);
+    sim::SweepOptions sweep_opt;
+    sweep_opt.threads = threads;
+    sim::run_workload_sweep(jobs, sweep_opt);
     return strip_report_timing(render_report("unit", s));
   };
   EXPECT_EQ(sweep(1), sweep(4));

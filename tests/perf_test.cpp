@@ -1,5 +1,4 @@
-// Tests for the simulator-throughput harness (bench_perf's library layer)
-// and the fixed-slot statistics refactor behind it.
+// Tests for the fixed-slot statistics refactor of the simulator hot path.
 //
 // The counter refactor replaced the hot-path string-keyed StatSet in
 // mem::Cache with enum-indexed arrays, keeping a cold export_stats() that
@@ -11,7 +10,7 @@
 
 #include "mem/cache.h"
 #include "mem/hierarchy.h"
-#include "sim/batch_runner.h"
+#include "sim/experiment.h"
 #include "util/rng.h"
 
 namespace sempe {
@@ -21,8 +20,6 @@ using mem::Cache;
 using mem::CacheConfig;
 using mem::CacheStat;
 using sim::MicrobenchOptions;
-using sim::PerfJob;
-using sim::PerfPoint;
 
 // ---------------------------------------------------------------------------
 // Counter-refactor equivalence.
@@ -111,78 +108,6 @@ TEST(CounterEquivalence, HierarchyExportAggregatesCacheViews) {
   // Every L1 demand access reached a cache; misses flowed into L2.
   EXPECT_EQ(s.get("IL1.accesses") + s.get("DL1.accesses"), 400u);
   EXPECT_GT(s.get("L2.accesses"), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// bench_perf determinism and schema.
-
-std::vector<PerfJob> small_perf_jobs() {
-  return sim::perf_grid({"synthetic.stream?width=1&iters=2",
-                         "crypto.modexp?width=1&iters=2&bits=8",
-                         "ds.hash_probe?width=1&iters=2"},
-                        MicrobenchOptions{});
-}
-
-TEST(PerfHarness, NonTimingFieldsByteIdenticalAcrossThreads) {
-  const auto jobs = small_perf_jobs();
-  const auto p1 = sim::run_perf_jobs(jobs, 1);
-  const auto p4 = sim::run_perf_jobs(jobs, 4);
-  const std::string j1 = sim::strip_perf_timing(sim::perf_json("perf", jobs, p1));
-  const std::string j4 = sim::strip_perf_timing(sim::perf_json("perf", jobs, p4));
-  EXPECT_EQ(j1, j4);
-  // The strip really removed the wall-clock lines and nothing else.
-  const std::string full = sim::perf_json("perf", jobs, p1);
-  EXPECT_NE(full.find("\"wall_ms\""), std::string::npos);
-  EXPECT_NE(full.find("\"simulated_mips\""), std::string::npos);
-  EXPECT_NE(full.find("\"ns_per_instr\""), std::string::npos);
-  EXPECT_EQ(j1.find("\"wall_ms\""), std::string::npos);
-  EXPECT_EQ(j1.find("\"simulated_mips\""), std::string::npos);
-  EXPECT_EQ(j1.find("\"ns_per_instr\""), std::string::npos);
-  EXPECT_NE(j1.find("\"baseline_cycles\""), std::string::npos);
-}
-
-TEST(PerfHarness, SchemaCarriesMetaAndPerPointFields) {
-  const auto jobs = small_perf_jobs();
-  const auto pts = sim::run_perf_jobs(jobs, 2);
-  const std::string json = sim::perf_json("perf", jobs, pts);
-  for (const char* key :
-       {"\"schema_version\": 3", "\"experiment\": \"perf\"",
-        "\"modes\": \"legacy,sempe,cte\"", "\"results_ok\"",
-        "\"baseline_cycles\"", "\"sempe_cycles\"", "\"cte_cycles\"",
-        "\"total_instructions\"", "\"wall_ms\"", "\"simulated_mips\"",
-        "\"ns_per_instr\""}) {
-    EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
-  }
-  for (const PerfPoint& pp : pts) {
-    EXPECT_TRUE(pp.point.results_ok) << pp.point.mismatch_summary();
-    EXPECT_GT(pp.simulated_instructions(), 0u);
-    EXPECT_GE(pp.wall_seconds, 0.0);
-  }
-}
-
-TEST(PerfHarness, SweepSpecsResolveThroughRegistry) {
-  // Every spec bench_perf times must resolve (unknown params throw).
-  const auto specs = sim::perf_sweep_specs(/*iters=*/1);
-  EXPECT_GE(specs.size(), 9u);
-  for (const std::string& spec : specs) {
-    const auto parsed = workloads::WorkloadSpec::parse(spec);
-    EXPECT_NO_THROW(
-        workloads::WorkloadRegistry::instance().resolve(parsed.name));
-  }
-}
-
-TEST(PerfHarness, DerivedMetricsAreConsistent) {
-  PerfPoint pp;
-  pp.point.baseline_instructions = 1'000'000;
-  pp.point.sempe_instructions = 2'000'000;
-  pp.point.cte_instructions = 3'000'000;
-  pp.wall_seconds = 0.5;
-  EXPECT_EQ(pp.simulated_instructions(), 6'000'000u);
-  EXPECT_DOUBLE_EQ(pp.simulated_mips(), 12.0);
-  EXPECT_NEAR(pp.ns_per_instruction(), 83.333, 0.01);
-  PerfPoint zero;
-  EXPECT_DOUBLE_EQ(zero.simulated_mips(), 0.0);
-  EXPECT_DOUBLE_EQ(zero.ns_per_instruction(), 0.0);
 }
 
 }  // namespace

@@ -178,18 +178,18 @@ TEST(JobKey, SchemaVersionBumpInvalidatesStaleCacheEntries) {
   EXPECT_NE(id.canonical_text().find("schema=3"), std::string::npos);
 }
 
-TEST(JobKey, TenantJobKeyCoversEveryExperimentCoordinate) {
-  // The co-residence result depends on the victim sub-spec, the probe
-  // shape, the scheduler quantum, the tenant count, and the audit budget;
-  // each must land in the identity so no two distinct experiments share a
-  // cache entry.
-  sim::TenantJob base;
+TEST(JobKey, AttackLeakageJobKeyCoversEveryExperimentCoordinate) {
+  // A co-residence attack is an ordinary leakage job. Its result depends
+  // on the victim sub-spec, the probe shape, the scheduler quantum and the
+  // audit budget; each must land in the identity so no two distinct
+  // experiments share a cache entry.
+  sim::LeakageJob base;
   base.spec =
       "attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8"
       "&iters=2&quantum=2000";
   const std::string k0 = sim::job_cache_key(base, "fp");
 
-  sim::TenantJob v = base;  // a different victim kernel
+  sim::LeakageJob v = base;  // a different victim kernel
   v.spec =
       "attack.prime_probe?victim=ds.hash_probe&width=2&size=8&bits=8"
       "&iters=2&quantum=2000";
@@ -213,11 +213,7 @@ TEST(JobKey, TenantJobKeyCoversEveryExperimentCoordinate) {
       "&iters=2&quantum=1500";
   EXPECT_NE(sim::job_cache_key(v, "fp"), k0);
 
-  v = base;  // a different co-residence degree
-  v.tenants = 3;
-  EXPECT_NE(sim::job_cache_key(v, "fp"), k0);
-
-  v = base;  // the audit budget shapes the result, like LeakageJob
+  v = base;  // the audit budget shapes the result
   v.opt.samples += 1;
   EXPECT_NE(sim::job_cache_key(v, "fp"), k0);
 
@@ -357,7 +353,7 @@ TEST(SweepCodec, LeakageRoundTripIsBitExactWithTheStatisticalTier) {
   EXPECT_EQ(back.audit.to_string(), pt.audit.to_string());
 }
 
-TEST(SweepCodec, TenantRoundTripPreservesKeyRecoveryBitExactly) {
+TEST(SweepCodec, AttackRoundTripPreservesKeyRecoveryBitExactly) {
   // The schema-v3 recovery fields must survive the codec bit-exactly —
   // the counters as decimal u64s and the derived recovery-rate doubles
   // (leaked through the f64 hexfloat path for every statistic) down to
@@ -365,7 +361,7 @@ TEST(SweepCodec, TenantRoundTripPreservesKeyRecoveryBitExactly) {
   // two-tenant run would compute.
   security::AuditOptions opt;
   opt.samples = 2;
-  const auto pt = sim::measure_tenant(
+  const auto pt = sim::measure_leakage(
       "attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8&iters=2",
       opt);
   const security::ModeAudit* legacy = pt.audit.mode("legacy");
@@ -374,7 +370,7 @@ TEST(SweepCodec, TenantRoundTripPreservesKeyRecoveryBitExactly) {
   EXPECT_GT(legacy->key_bits_total, 0u);
 
   const std::string blob = sim::encode_point(pt);
-  const auto back = sim::decode_tenant_point(blob);
+  const auto back = sim::decode_leakage_point(blob);
   EXPECT_EQ(sim::encode_point(back), blob);
   ASSERT_EQ(back.audit.modes.size(), pt.audit.modes.size());
   for (usize mi = 0; mi < pt.audit.modes.size(); ++mi) {
@@ -386,10 +382,6 @@ TEST(SweepCodec, TenantRoundTripPreservesKeyRecoveryBitExactly) {
     EXPECT_EQ(bm.recovery_rate(), m.recovery_rate()) << m.mode;
   }
   EXPECT_EQ(back.audit.to_string(), pt.audit.to_string());
-  // A tenant blob must not decode as a leakage point (family header).
-  EXPECT_THROW(sim::decode_leakage_point(blob), SimError);
-  // And the tenant path refuses non-attack workloads outright.
-  EXPECT_THROW(sim::measure_tenant("micro.ones?width=1&iters=1"), SimError);
 }
 
 TEST(SweepCodec, CorruptBlobsThrow) {
@@ -491,18 +483,18 @@ TEST_F(SweepOrchestrationTest, ResumeAfterKilledJournalIsByteIdentical) {
 }
 
 TEST_F(SweepOrchestrationTest, TenantWarmCacheJsonIsByteIdentical) {
-  // The byte-identity contract extends to the new tenant family: a warm
+  // The byte-identity contract extends to the co-residence report: a warm
   // cache must replay the exact gate flags and recovery rates of the cold
   // two-tenant run.
   security::AuditOptions aopt;
   aopt.samples = 2;
-  const auto jobs = sim::tenant_grid(
+  const auto jobs = sim::leakage_grid(
       {"attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8"
        "&iters=2"},
       aopt);
   SweepOptions opt;
   opt.cache_dir = path("cache");
-  const auto cold = sim::run_tenant_sweep(jobs, opt);
+  const auto cold = sim::run_leakage_sweep(jobs, opt);
   EXPECT_EQ(cold.cache.misses, jobs.size());
   const std::string fresh = sim::tenant_json("tenants", jobs, cold);
   EXPECT_NE(fresh.find("\"legacy_recovery_above_chance\": 1"),
@@ -510,9 +502,37 @@ TEST_F(SweepOrchestrationTest, TenantWarmCacheJsonIsByteIdentical) {
   EXPECT_NE(fresh.find("\"sempe_at_chance\": 1"), std::string::npos);
   EXPECT_NE(fresh.find("\"cte_at_chance\": 1"), std::string::npos);
 
-  const auto warm = sim::run_tenant_sweep(jobs, opt);
+  const auto warm = sim::run_leakage_sweep(jobs, opt);
   EXPECT_EQ(warm.cache.hits, jobs.size());
   EXPECT_EQ(sim::tenant_json("tenants", jobs, warm), fresh);
+}
+
+TEST_F(SweepOrchestrationTest, CoResidenceSweepWarmsTheLeakageCache) {
+  // bench_tenants and bench_leakage sweep the same family: a co-residence
+  // sweep warms the cache for a leakage sweep of the same attack spec.
+  security::AuditOptions aopt;
+  aopt.samples = 2;
+  const std::string spec =
+      "attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8&iters=2";
+  SweepOptions opt;
+  opt.cache_dir = path("cache");
+  const auto tenant_jobs = sim::leakage_grid({spec}, aopt);
+  const auto tenants = sim::run_leakage_sweep(tenant_jobs, opt);
+  ASSERT_EQ(tenants.points.size(), 1u);
+  EXPECT_TRUE(tenants.points[0].legacy_recovers());
+
+  sim::LeakageJob job;
+  job.label = "a label of its own";
+  job.spec = spec;
+  job.opt = aopt;
+  const auto leakage = sim::run_leakage_sweep({job}, opt);
+  EXPECT_EQ(leakage.cache.hits, 1u);
+  EXPECT_EQ(leakage.cache.misses + leakage.cache.stale +
+                leakage.cache.corrupt,
+            0u);
+  EXPECT_EQ(leakage.cache.stores, 0u);  // one store per executed job
+  EXPECT_EQ(sim::leakage_json("leakage", {job}, leakage.points),
+            sim::leakage_json("leakage", {job}, tenants.points));
 }
 
 TEST(SweepShard, PartitionIsExactAndDeterministic) {
@@ -569,6 +589,36 @@ TEST(SweepShard, MergeRejectsIncompleteOrMismatchedShardSets) {
   const std::string full =
       sim::microbench_json("orch", jobs, sim::run_microbench_sweep(jobs, {}));
   EXPECT_THROW(sim::merge_shard_json({full}), SimError);
+}
+
+TEST(SweepShard, MergeRejectsNonDecimalIndexAndShardTokens) {
+  const auto jobs = small_grid();
+  std::vector<std::string> docs;
+  for (usize s = 0; s < 3; ++s) {
+    SweepOptions opt;
+    opt.shard = {s, 3};
+    docs.push_back(sim::microbench_json("orch", jobs,
+                                        sim::run_microbench_sweep(jobs, opt)));
+  }
+  ASSERT_NO_THROW(sim::merge_shard_json(docs));
+  const auto with = [&](usize d, const std::string& from,
+                        const std::string& to) {
+    std::vector<std::string> bad = docs;
+    const usize at = bad[d].find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) bad[d].replace(at, from.size(), to);
+    return bad;
+  };
+  // Trailing junk after an otherwise valid number must not parse as it.
+  EXPECT_THROW(sim::merge_shard_json(
+                   with(0, "\"_index\": 3,", "\"_index\": 3x,")),
+               SimError);
+  EXPECT_THROW(sim::merge_shard_json(
+                   with(1, "\"shard\": \"1/3\"", "\"shard\": \"1x/3\"")),
+               SimError);
+  EXPECT_THROW(sim::merge_shard_json(
+                   with(2, "\"shard\": \"2/3\"", "\"shard\": \"2/+3\"")),
+               SimError);
 }
 
 // ---------------------------------------------------------------------------
