@@ -21,7 +21,6 @@ namespace {
 
 using namespace sempe;
 using sim::MicrobenchJob;
-using sim::MicrobenchOptions;
 using workloads::Kind;
 
 constexpr usize kSnapshotWidths = 8;                   // W = 1..8, 3 jobs each
@@ -29,12 +28,10 @@ constexpr u32 kSpmRates[] = {8, 16, 32, 64, 128};      // B/cycle
 constexpr usize kNumSpm = sizeof kSpmRates / sizeof *kSpmRates;
 
 MicrobenchJob snapshot_job(usize w, cpu::SnapshotModel model, const char* name,
-                           const MicrobenchOptions& base) {
+                           usize iters) {
   MicrobenchJob j;
   j.label = std::string("snapshot/") + name + "/W=" + std::to_string(w);
-  j.kind = Kind::kOnes;
-  j.width = w;
-  j.opt = base;
+  j.spec = sim::microbench_spec(Kind::kOnes, w, iters);
   j.opt.snapshot_model = model;
   if (model == cpu::SnapshotModel::kLRS) {
     j.opt.extra_front_end_depth = 1;  // the tagged-rename pipeline stage
@@ -55,24 +52,21 @@ int main(int argc, char** argv) {
   std::FILE* const out = sim::report_stream(cli);
   auto obs_session = sim::make_obs_session(cli);
 
-  MicrobenchOptions base;
-  base.iterations = sim::env_usize("SEMPE_BENCH_ITERS", 20);
+  const usize iters = sim::env_usize("SEMPE_BENCH_ITERS", 20);
 
   std::vector<MicrobenchJob> jobs;
   // Section 1: snapshot mechanism, 3 configurations per width.
   for (usize w = 1; w <= kSnapshotWidths; ++w) {
     jobs.push_back(
-        snapshot_job(w, cpu::SnapshotModel::kArchRS, "archrs", base));
-    jobs.push_back(snapshot_job(w, cpu::SnapshotModel::kPhyRS, "phyrs", base));
-    jobs.push_back(snapshot_job(w, cpu::SnapshotModel::kLRS, "lrs", base));
+        snapshot_job(w, cpu::SnapshotModel::kArchRS, "archrs", iters));
+    jobs.push_back(snapshot_job(w, cpu::SnapshotModel::kPhyRS, "phyrs", iters));
+    jobs.push_back(snapshot_job(w, cpu::SnapshotModel::kLRS, "lrs", iters));
   }
   // Section 2: SPM port throughput.
   for (const u32 rate : kSpmRates) {
     MicrobenchJob j;
     j.label = "spm/" + std::to_string(rate) + "B";
-    j.kind = Kind::kFibonacci;
-    j.width = 4;
-    j.opt = base;
+    j.spec = sim::microbench_spec(Kind::kFibonacci, 4, iters);
     j.opt.spm_bytes_per_cycle = rate;
     jobs.push_back(std::move(j));
   }
@@ -80,9 +74,7 @@ int main(int argc, char** argv) {
   for (const bool enabled : {true, false}) {
     MicrobenchJob j;
     j.label = std::string("prefetch/") + (enabled ? "on" : "off");
-    j.kind = Kind::kOnes;
-    j.width = 6;
-    j.opt = base;
+    j.spec = sim::microbench_spec(Kind::kOnes, 6, iters);
     j.opt.enable_prefetchers = enabled;
     jobs.push_back(std::move(j));
   }

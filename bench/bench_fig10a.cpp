@@ -23,10 +23,9 @@ int main(int argc, char** argv) {
   std::FILE* const out = sim::report_stream(cli);
   auto obs_session = sim::make_obs_session(cli);
 
-  sim::MicrobenchOptions opt;
-  opt.iterations = sim::env_usize("SEMPE_BENCH_ITERS", 20);
+  const usize iters = sim::env_usize("SEMPE_BENCH_ITERS", 20);
   auto jobs = sim::microbench_grid(
-      sim::all_kinds(), {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, opt);
+      sim::all_kinds(), {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, iters, {});
   sim::apply_job_filter(jobs, cli);
 
   const Stopwatch sweep_sw;
@@ -37,7 +36,7 @@ int main(int argc, char** argv) {
     std::fprintf(out,
         "Fig10a  %-10s W=%2zu  SeMPE %6.2fx   CTE %7.2fx   (CTE/SeMPE "
         "%5.2fx)\n",
-        workloads::kind_name(pt.kind), pt.width, pt.sempe_slowdown(),
+        pt.kind().c_str(), pt.width(), pt.sempe_slowdown(),
         pt.cte_slowdown(), pt.cte_vs_sempe());
   }
   std::fprintf(stderr, "swept %zu points in %.2fs on %zu thread(s)\n",

@@ -27,10 +27,9 @@ int main(int argc, char** argv) {
   std::FILE* const out = sim::report_stream(cli);
   auto obs_session = sim::make_obs_session(cli);
 
-  sim::MicrobenchOptions opt;
-  opt.iterations = sim::env_usize("SEMPE_BENCH_ITERS", 20);
+  const usize iters = sim::env_usize("SEMPE_BENCH_ITERS", 20);
   const std::vector<usize> widths = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  auto jobs = sim::microbench_grid(sim::all_kinds(), widths, opt);
+  auto jobs = sim::microbench_grid(sim::all_kinds(), widths, iters, {});
   sim::apply_job_filter(jobs, cli);
 
   const Stopwatch sweep_sw;
@@ -44,11 +43,11 @@ int main(int argc, char** argv) {
     double vs_standalone = 0, vs_combined = 0, cte_vs_standalone = 0;
     usize present = 0;
     for (const auto& pt : run.points) {
-      if (pt.width != widths[wi]) continue;
+      if (pt.width() != widths[wi]) continue;
       ++present;
       vs_standalone += pt.sempe_vs_ideal_standalone();
       vs_combined += pt.sempe_vs_ideal_combined();
-      cte_vs_standalone += sim::MicrobenchPoint::ratio(
+      cte_vs_standalone += sim::WorkloadPoint::ratio(
           pt.cte_cycles, pt.ideal_standalone_cycles);
     }
     if (present == 0) continue;

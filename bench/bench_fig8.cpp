@@ -6,7 +6,7 @@
 //
 // SEMPE_DJPEG_SCALE divides the pixel counts for simulation time
 // (default 8; set 1 for paper-sized images). The 12 (format, size) cells
-// run concurrently through sim/batch_runner.h.
+// run concurrently as workload-family sweeps (sim/batch_runner.h).
 #include <cstdio>
 
 #include "sim/batch_runner.h"
@@ -30,14 +30,16 @@ int main(int argc, char** argv) {
   sim::apply_job_filter(jobs, cli);
 
   const Stopwatch sweep_sw;
-  const auto run = sim::run_djpeg_sweep(jobs, sim::sweep_options(cli));
+  const auto run = sim::run_workload_sweep(jobs, sim::sweep_options(cli));
   const double secs = sweep_sw.elapsed_seconds();
 
   for (const auto& pt : run.points) {
+    const auto cell = workloads::djpeg_config_from_spec(
+        workloads::WorkloadSpec::parse(pt.spec));
     std::fprintf(out,
       "Fig8  %-4s %5zuk  overhead = %5.1f%%\n",
-                workloads::format_name(pt.format), pt.pixels / 1024,
-                pt.overhead() * 100.0);
+                workloads::format_name(cell.format), cell.pixels / 1024,
+                (pt.sempe_slowdown() - 1.0) * 100.0);
   }
   std::fprintf(stderr, "swept %zu points in %.2fs on %zu thread(s)\n",
                run.points.size(), secs,

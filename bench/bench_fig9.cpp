@@ -5,7 +5,8 @@
 // Paper shape: IL1 low and size-independent; DL1 low with SeMPE close to
 // baseline (ShadowMemory locality); L2 higher than DL1 overall.
 //
-// The 12 (format, size) cells run concurrently through sim/batch_runner.h.
+// The 12 (format, size) cells run concurrently as workload-family sweeps
+// (sim/batch_runner.h).
 #include <cstdio>
 
 #include "sim/batch_runner.h"
@@ -29,17 +30,19 @@ int main(int argc, char** argv) {
   sim::apply_job_filter(jobs, cli);
 
   const Stopwatch sweep_sw;
-  const auto run = sim::run_djpeg_sweep(jobs, sim::sweep_options(cli));
+  const auto run = sim::run_workload_sweep(jobs, sim::sweep_options(cli));
   const double secs = sweep_sw.elapsed_seconds();
 
   for (const auto& pt : run.points) {
+    const auto cell = workloads::djpeg_config_from_spec(
+        workloads::WorkloadSpec::parse(pt.spec));
     std::fprintf(out,
         "Fig9  %-4s %5zuk  IL1 %5.2f%%|%5.2f%%  DL1 %5.2f%%|%5.2f%%  "
         "L2 %5.2f%%|%5.2f%%   (baseline|SeMPE)\n",
-        workloads::format_name(pt.format), pt.pixels / 1024,
-        pt.baseline.il1_miss_rate() * 100, pt.sempe.il1_miss_rate() * 100,
-        pt.baseline.dl1_miss_rate() * 100, pt.sempe.dl1_miss_rate() * 100,
-        pt.baseline.l2_miss_rate() * 100, pt.sempe.l2_miss_rate() * 100);
+        workloads::format_name(cell.format), cell.pixels / 1024,
+        pt.baseline_miss.il1 * 100, pt.sempe_miss.il1 * 100,
+        pt.baseline_miss.dl1 * 100, pt.sempe_miss.dl1 * 100,
+        pt.baseline_miss.l2 * 100, pt.sempe_miss.l2 * 100);
   }
   std::fprintf(stderr, "swept %zu points in %.2fs on %zu thread(s)\n",
                run.points.size(), secs,

@@ -22,9 +22,8 @@ int main(int argc, char** argv) {
   std::FILE* const out = sim::report_stream(cli);
   auto obs_session = sim::make_obs_session(cli);
 
-  sim::MicrobenchOptions opt;
-  opt.iterations = sim::env_usize("SEMPE_BENCH_ITERS", 20);
-  auto jobs = sim::microbench_grid(sim::all_kinds(), {10}, opt);
+  const usize iters = sim::env_usize("SEMPE_BENCH_ITERS", 20);
+  auto jobs = sim::microbench_grid(sim::all_kinds(), {10}, iters, {});
   sim::apply_job_filter(jobs, cli);
 
   const Stopwatch sweep_sw;

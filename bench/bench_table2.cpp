@@ -22,17 +22,10 @@ int main(int argc, char** argv) {
 
   const auto cfg = sim::table2_machine();
 
-  sim::MicrobenchOptions opt;
-  opt.iterations = sim::env_usize("SEMPE_BENCH_ITERS", 20);
-  std::vector<sim::MicrobenchJob> jobs;
-  {
-    sim::MicrobenchJob j;
-    j.label = "selfcheck/ones/W=2";
-    j.kind = workloads::Kind::kOnes;
-    j.width = 2;
-    j.opt = opt;
-    jobs.push_back(std::move(j));
-  }
+  std::vector<sim::MicrobenchJob> jobs(1);
+  jobs[0].label = "selfcheck/ones/W=2";
+  jobs[0].spec = sim::microbench_spec(
+      workloads::Kind::kOnes, 2, sim::env_usize("SEMPE_BENCH_ITERS", 20));
   sim::apply_job_filter(jobs, cli);
 
   const Stopwatch sweep_sw;
@@ -45,10 +38,7 @@ int main(int argc, char** argv) {
   if (!run.points.empty()) {
     const auto& pt = run.points[0];
     const double ipc =
-        pt.baseline_cycles == 0
-            ? 0.0
-            : static_cast<double>(pt.baseline_instructions) /
-                  static_cast<double>(pt.baseline_cycles);
+        sim::WorkloadPoint::ratio(pt.baseline_instructions, pt.baseline_cycles);
     std::fprintf(out, "self-check IPC on ones/W=2: %.2f\n", ipc);
   }
   std::fprintf(out, "\n");

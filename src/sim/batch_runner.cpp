@@ -1,11 +1,21 @@
 #include "sim/batch_runner.h"
 
+#include <cctype>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+
+// GCC 12's -O2 -fsanitize=address build reports -Wmaybe-uninitialized
+// inside libstdc++'s own std::regex templates (a false positive in the
+// library, not in this file). Suppress it for this one include only; the
+// header stays out of batch_runner.h so no other translation unit needs it.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#include <regex>
+#pragma GCC diagnostic pop
 
 #include "sim/job_key.h"
 #include "sim/sweep_codec.h"
@@ -74,29 +84,60 @@ void append_kv_s(std::string& out, const char* key, const std::string& v,
            last ? "" : ",");
 }
 
-// How an emitter maps point positions back to the (full) job list: the
-// identity for a plain sweep, run.indices for a sharded/filtered one.
-// Sharded documents (count > 1) additionally carry the shard meta line
-// and a per-point "_index" annotation, which is exactly the information
-// merge_shard_json strips back out — an unsharded document never carries
-// either, so the pre-orchestration byte format (and every golden pin) is
-// unchanged.
+// How an emitter maps point positions back to the (full) job list:
+// run.indices. Sharded documents (count > 1) additionally carry the shard
+// meta line and a per-point "_index" annotation, which is exactly the
+// information merge_shard_json strips back out — an unsharded document
+// never carries either, so the pre-orchestration byte format (and every
+// golden pin) is unchanged.
 struct SweepView {
-  const std::vector<usize>* indices = nullptr;  // nullptr = identity
+  const std::vector<usize>& indices;
   ShardSpec shard;
 
-  usize global(usize k) const {
-    return indices == nullptr ? k : (*indices)[k];
-  }
+  usize global(usize k) const { return indices[k]; }
   bool sharded() const { return shard.count > 1; }
 };
+
+template <typename Point>
+SweepView sweep_view(const SweepRun<Point>& run, usize jobs) {
+  SEMPE_CHECK(run.points.size() == run.indices.size());
+  SEMPE_CHECK(run.total_jobs == jobs);
+  return SweepView{run.indices, run.shard};
+}
+
+// The SweepRun an unsharded sweep producing `points` would return.
+template <typename Point>
+SweepRun<Point> unsharded_run(const std::vector<Point>& points) {
+  SweepRun<Point> run;
+  run.points = points;
+  run.total_jobs = points.size();
+  for (usize i = 0; i < points.size(); ++i) run.indices.push_back(i);
+  return run;
+}
+
+// Header workload field: the distinct generator names, in job order —
+// always over the FULL job list, so shard documents carry the same meta
+// header as the unsharded run.
+template <typename Job>
+std::string distinct_generators(const std::vector<Job>& jobs) {
+  std::vector<std::string> seen;
+  std::string generators;
+  for (const Job& j : jobs) {
+    const std::string name = j.spec.substr(0, j.spec.find('?'));
+    if (std::find(seen.begin(), seen.end(), name) != seen.end()) continue;
+    seen.push_back(name);
+    if (!generators.empty()) generators += ',';
+    generators += name;
+  }
+  return generators;
+}
 
 // The metadata header. `threads` is deliberately the constant 0: results
 // are thread-count invariant by construction, and recording the actual
 // worker count would break the byte-identical-across---threads guarantee.
 std::string json_header(const std::string& experiment,
                         const std::string& workload, const char* modes,
-                        const SweepView& view = {}) {
+                        const SweepView& view) {
   std::string out = "{\n";
   out += "  \"meta\": {\n";
   append_f(out, "    \"schema_version\": %d,\n", kResultSchemaVersion);
@@ -139,14 +180,17 @@ namespace {
 /// journal/cache resolution of each selected job (single-threaded, so the
 /// CacheStats accounting is deterministic), then parallel execution of
 /// whatever could not be resolved, with write-back as each job retires.
-template <typename Job, typename Point, typename MeasureFn, typename EncodeFn,
-          typename DecodeFn>
+template <typename Job, typename Point, typename MeasureFn, typename DecodeFn>
 SweepRun<Point> run_sweep_impl(const std::vector<Job>& jobs,
                                const SweepOptions& opt, MeasureFn measure,
-                               EncodeFn encode, DecodeFn decode) {
+                               DecodeFn decode) {
   if (opt.shard.count == 0 || opt.shard.index >= opt.shard.count)
     throw SimError("bad shard " + std::to_string(opt.shard.index) + "/" +
                    std::to_string(opt.shard.count));
+  // Touch the registry before fanning out: every family's jobs resolve
+  // specs through it, and its lazy construction is the only shared
+  // mutable state a job could race on.
+  workloads::WorkloadRegistry::instance();
   SweepRun<Point> run;
   run.total_jobs = jobs.size();
   run.shard = opt.shard;
@@ -224,7 +268,7 @@ SweepRun<Point> run_sweep_impl(const std::vector<Job>& jobs,
       [&](usize j) {
         const usize k = pending[j];
         Point p = measure(jobs[run.indices[k]]);
-        const std::string blob = encode(p);
+        const std::string blob = encode_point(p);
         if (cache != nullptr) cache->store(keys[k], blob);
         if (journal != nullptr) journal->append(keys[k], blob);
         return p;
@@ -259,57 +303,43 @@ SweepRun<MicrobenchPoint> run_microbench_sweep(
     const std::vector<MicrobenchJob>& jobs, const SweepOptions& opt) {
   return run_sweep_impl<MicrobenchJob, MicrobenchPoint>(
       jobs, opt,
-      [](const MicrobenchJob& j) {
-        return measure_microbench(j.kind, j.width, j.opt);
-      },
-      [](const MicrobenchPoint& p) { return encode_point(p); },
+      [](const MicrobenchJob& j) { return measure_microbench(j.spec, j.opt); },
       decode_microbench_point);
-}
-
-SweepRun<DjpegPoint> run_djpeg_sweep(const std::vector<DjpegJob>& jobs,
-                                     const SweepOptions& opt) {
-  return run_sweep_impl<DjpegJob, DjpegPoint>(
-      jobs, opt,
-      [](const DjpegJob& j) {
-        return measure_djpeg(j.format, j.pixels, j.scale, j.image_seed);
-      },
-      [](const DjpegPoint& p) { return encode_point(p); }, decode_djpeg_point);
 }
 
 SweepRun<WorkloadPoint> run_workload_sweep(const std::vector<WorkloadJob>& jobs,
                                            const SweepOptions& opt) {
-  // Touch the registry before fanning out: its lazy construction is the
-  // only shared mutable state a workload job could race on.
-  workloads::WorkloadRegistry::instance();
   return run_sweep_impl<WorkloadJob, WorkloadPoint>(
       jobs, opt,
       [](const WorkloadJob& j) { return measure_workload(j.spec, j.opt); },
-      [](const WorkloadPoint& p) { return encode_point(p); },
       decode_workload_point);
 }
 
 SweepRun<LeakagePoint> run_leakage_sweep(const std::vector<LeakageJob>& jobs,
                                          const SweepOptions& opt) {
-  workloads::WorkloadRegistry::instance();  // pre-touch, as above
   return run_sweep_impl<LeakageJob, LeakagePoint>(
       jobs, opt,
       [](const LeakageJob& j) { return measure_leakage(j.spec, j.opt); },
-      [](const LeakagePoint& p) { return encode_point(p); },
       decode_leakage_point);
 }
 
 SweepRun<LintPoint> run_lint_sweep(const std::vector<LintJob>& jobs,
                                    const SweepOptions& opt) {
-  workloads::WorkloadRegistry::instance();  // pre-touch, as above
   return run_sweep_impl<LintJob, LintPoint>(
       jobs, opt,
       [](const LintJob& j) { return measure_lint(j.spec, j.opt); },
-      [](const LintPoint& p) { return encode_point(p); }, decode_lint_point);
+      decode_lint_point);
+}
+
+std::string microbench_spec(workloads::Kind kind, usize width, usize iters) {
+  return std::string("micro.") + workloads::kind_name(kind) +
+         "?width=" + std::to_string(width) +
+         "&iters=" + std::to_string(iters) + "&secrets=0";
 }
 
 std::vector<MicrobenchJob> microbench_grid(
     const std::vector<workloads::Kind>& kinds, const std::vector<usize>& widths,
-    const MicrobenchOptions& opt) {
+    usize iters, const MicrobenchOptions& opt) {
   std::vector<MicrobenchJob> jobs;
   jobs.reserve(kinds.size() * widths.size());
   for (const workloads::Kind kind : kinds) {
@@ -317,8 +347,7 @@ std::vector<MicrobenchJob> microbench_grid(
       MicrobenchJob j;
       j.label = std::string(workloads::kind_name(kind)) + "/W=" +
                 std::to_string(w);
-      j.kind = kind;
-      j.width = w;
+      j.spec = microbench_spec(kind, w, iters);
       j.opt = opt;
       jobs.push_back(std::move(j));
     }
@@ -326,65 +355,58 @@ std::vector<MicrobenchJob> microbench_grid(
   return jobs;
 }
 
-std::vector<DjpegJob> djpeg_grid(
+std::vector<WorkloadJob> djpeg_grid(
     const std::vector<workloads::OutputFormat>& formats,
     const std::vector<usize>& pixel_sizes, usize scale) {
-  std::vector<DjpegJob> jobs;
+  std::vector<WorkloadJob> jobs;
   jobs.reserve(formats.size() * pixel_sizes.size());
   for (const workloads::OutputFormat fmt : formats) {
+    // The spec spells formats in lower case ("PPM" -> format=ppm).
+    std::string key = workloads::format_name(fmt);
+    for (char& c : key)
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
     for (const usize px : pixel_sizes) {
-      DjpegJob j;
+      WorkloadJob j;
       j.label = std::string(workloads::format_name(fmt)) + "/" +
                 std::to_string(px / 1024) + "k";
-      j.format = fmt;
-      j.pixels = px;
-      j.scale = scale;
+      j.spec = "djpeg?format=" + key + "&pixels=" + std::to_string(px) +
+               "&scale=" + std::to_string(scale);
       jobs.push_back(std::move(j));
     }
   }
   return jobs;
 }
 
-std::vector<WorkloadJob> workload_grid(const std::vector<std::string>& specs,
-                                       const MicrobenchOptions& opt) {
-  std::vector<WorkloadJob> jobs;
-  jobs.reserve(specs.size());
-  for (const std::string& spec : specs) {
-    WorkloadJob j;
-    j.label = spec;
-    j.spec = spec;
-    j.opt = opt;
-    jobs.push_back(std::move(j));
+namespace {
+
+// One job per spec, labelled by the spec text.
+template <typename Job, typename Opt>
+std::vector<Job> spec_grid(const std::vector<std::string>& specs,
+                           const Opt& opt) {
+  std::vector<Job> jobs(specs.size());
+  for (usize i = 0; i < specs.size(); ++i) {
+    jobs[i].label = specs[i];
+    jobs[i].spec = specs[i];
+    jobs[i].opt = opt;
   }
   return jobs;
+}
+
+}  // namespace
+
+std::vector<WorkloadJob> workload_grid(const std::vector<std::string>& specs,
+                                       const MicrobenchOptions& opt) {
+  return spec_grid<WorkloadJob>(specs, opt);
 }
 
 std::vector<LeakageJob> leakage_grid(const std::vector<std::string>& specs,
                                      const security::AuditOptions& opt) {
-  std::vector<LeakageJob> jobs;
-  jobs.reserve(specs.size());
-  for (const std::string& spec : specs) {
-    LeakageJob j;
-    j.label = spec;
-    j.spec = spec;
-    j.opt = opt;
-    jobs.push_back(std::move(j));
-  }
-  return jobs;
+  return spec_grid<LeakageJob>(specs, opt);
 }
 
 std::vector<LintJob> lint_grid(const std::vector<std::string>& specs,
                                const security::AuditOptions& opt) {
-  std::vector<LintJob> jobs;
-  jobs.reserve(specs.size());
-  for (const std::string& spec : specs) {
-    LintJob j;
-    j.label = spec;
-    j.spec = spec;
-    j.opt = opt;
-    jobs.push_back(std::move(j));
-  }
-  return jobs;
+  return spec_grid<LintJob>(specs, opt);
 }
 
 const std::vector<workloads::Kind>& all_kinds() {
@@ -400,20 +422,19 @@ const std::vector<usize>& djpeg_sizes() {
   return sizes;
 }
 
-namespace {
-
-std::string microbench_json_impl(const std::string& experiment,
-                                 const std::vector<MicrobenchJob>& jobs,
-                                 const std::vector<MicrobenchPoint>& points,
-                                 const SweepView& view) {
+std::string microbench_json(const std::string& experiment,
+                            const std::vector<MicrobenchJob>& jobs,
+                            const SweepRun<MicrobenchPoint>& run) {
+  const SweepView view = sweep_view(run, jobs.size());
+  const std::vector<MicrobenchPoint>& points = run.points;
   std::string out =
       json_header(experiment, "microbench", "legacy,sempe,cte,ideal", view);
   for (usize i = 0; i < points.size(); ++i) {
     const MicrobenchPoint& p = points[i];
     begin_point(out, view, i);
     append_kv_s(out, "label", jobs[view.global(i)].label);
-    append_kv_s(out, "kind", workloads::kind_name(p.kind));
-    append_kv_u64(out, "width", p.width);
+    append_kv_s(out, "kind", p.kind());
+    append_kv_u64(out, "width", p.width());
     append_kv_u64(out, "baseline_cycles", p.baseline_cycles);
     append_kv_u64(out, "sempe_cycles", p.sempe_cycles);
     append_kv_u64(out, "cte_cycles", p.cte_cycles);
@@ -433,55 +454,43 @@ std::string microbench_json_impl(const std::string& experiment,
   return out;
 }
 
-std::string djpeg_json_impl(const std::string& experiment,
-                            const std::vector<DjpegJob>& jobs,
-                            const std::vector<DjpegPoint>& points,
-                            const SweepView& view) {
+std::string djpeg_json(const std::string& experiment,
+                       const std::vector<WorkloadJob>& jobs,
+                       const SweepRun<WorkloadPoint>& run) {
+  const SweepView view = sweep_view(run, jobs.size());
+  const std::vector<WorkloadPoint>& points = run.points;
   std::string out = json_header(experiment, "djpeg", "legacy,sempe", view);
   for (usize i = 0; i < points.size(); ++i) {
-    const DjpegPoint& p = points[i];
+    const WorkloadPoint& p = points[i];
+    const workloads::DjpegConfig cell = workloads::djpeg_config_from_spec(
+        workloads::WorkloadSpec::parse(p.spec));
     begin_point(out, view, i);
     append_kv_s(out, "label", jobs[view.global(i)].label);
-    append_kv_s(out, "format", workloads::format_name(p.format));
-    append_kv_u64(out, "pixels", p.pixels);
-    append_kv_u64(out, "baseline_cycles", p.baseline.cycles);
-    append_kv_u64(out, "sempe_cycles", p.sempe.cycles);
-    append_kv_u64(out, "baseline_instructions", p.baseline.instructions);
-    append_kv_u64(out, "sempe_instructions", p.sempe.instructions);
-    append_kv_f(out, "overhead", p.overhead());
-    append_kv_f(out, "il1_miss_baseline", p.baseline.il1_miss_rate());
-    append_kv_f(out, "il1_miss_sempe", p.sempe.il1_miss_rate());
-    append_kv_f(out, "dl1_miss_baseline", p.baseline.dl1_miss_rate());
-    append_kv_f(out, "dl1_miss_sempe", p.sempe.dl1_miss_rate());
-    append_kv_f(out, "l2_miss_baseline", p.baseline.l2_miss_rate());
-    append_kv_f(out, "l2_miss_sempe", p.sempe.l2_miss_rate(), /*last=*/true);
+    append_kv_s(out, "format", workloads::format_name(cell.format));
+    append_kv_u64(out, "pixels", cell.pixels);
+    append_kv_u64(out, "baseline_cycles", p.baseline_cycles);
+    append_kv_u64(out, "sempe_cycles", p.sempe_cycles);
+    append_kv_u64(out, "baseline_instructions", p.baseline_instructions);
+    append_kv_u64(out, "sempe_instructions", p.sempe_instructions);
+    append_kv_f(out, "overhead",
+                p.baseline_cycles == 0 ? 0.0 : p.sempe_slowdown() - 1.0);
+    append_kv_f(out, "il1_miss_baseline", p.baseline_miss.il1);
+    append_kv_f(out, "il1_miss_sempe", p.sempe_miss.il1);
+    append_kv_f(out, "dl1_miss_baseline", p.baseline_miss.dl1);
+    append_kv_f(out, "dl1_miss_sempe", p.sempe_miss.dl1);
+    append_kv_f(out, "l2_miss_baseline", p.baseline_miss.l2);
+    append_kv_f(out, "l2_miss_sempe", p.sempe_miss.l2, /*last=*/true);
     out += i + 1 == points.size() ? "    }\n" : "    },\n";
   }
   json_footer(out);
   return out;
 }
 
-// Header workload field: the distinct generator names, in job order —
-// always over the FULL job list, so shard documents carry the same meta
-// header as the unsharded run.
-template <typename Job>
-std::string distinct_generators(const std::vector<Job>& jobs) {
-  std::vector<std::string> seen;
-  std::string generators;
-  for (const Job& j : jobs) {
-    const std::string name = j.spec.substr(0, j.spec.find('?'));
-    if (std::find(seen.begin(), seen.end(), name) != seen.end()) continue;
-    seen.push_back(name);
-    if (!generators.empty()) generators += ',';
-    generators += name;
-  }
-  return generators;
-}
-
-std::string workload_json_impl(const std::string& experiment,
-                               const std::vector<WorkloadJob>& jobs,
-                               const std::vector<WorkloadPoint>& points,
-                               const SweepView& view) {
+std::string workload_json(const std::string& experiment,
+                          const std::vector<WorkloadJob>& jobs,
+                          const SweepRun<WorkloadPoint>& run) {
+  const SweepView view = sweep_view(run, jobs.size());
+  const std::vector<WorkloadPoint>& points = run.points;
   std::string out = json_header(experiment, distinct_generators(jobs),
                                 "legacy,sempe,cte", view);
   for (usize i = 0; i < points.size(); ++i) {
@@ -513,10 +522,11 @@ std::string workload_json_impl(const std::string& experiment,
   return out;
 }
 
-std::string leakage_json_impl(const std::string& experiment,
-                              const std::vector<LeakageJob>& jobs,
-                              const std::vector<LeakagePoint>& points,
-                              const SweepView& view) {
+std::string leakage_json(const std::string& experiment,
+                         const std::vector<LeakageJob>& jobs,
+                         const SweepRun<LeakagePoint>& run) {
+  const SweepView view = sweep_view(run, jobs.size());
+  const std::vector<LeakagePoint>& points = run.points;
   std::string out = json_header(experiment, distinct_generators(jobs),
                                 "legacy,sempe,cte", view);
   for (usize i = 0; i < points.size(); ++i) {
@@ -588,10 +598,11 @@ std::string leakage_json_impl(const std::string& experiment,
   return out;
 }
 
-std::string tenant_json_impl(const std::string& experiment,
-                             const std::vector<LeakageJob>& jobs,
-                             const std::vector<LeakagePoint>& points,
-                             const SweepView& view) {
+std::string tenant_json(const std::string& experiment,
+                        const std::vector<LeakageJob>& jobs,
+                        const SweepRun<LeakagePoint>& run) {
+  const SweepView view = sweep_view(run, jobs.size());
+  const std::vector<LeakagePoint>& points = run.points;
   std::string out = json_header(experiment, distinct_generators(jobs),
                                 "legacy,sempe,cte", view);
   for (usize i = 0; i < points.size(); ++i) {
@@ -636,10 +647,11 @@ std::string tenant_json_impl(const std::string& experiment,
   return out;
 }
 
-std::string lint_json_impl(const std::string& experiment,
-                           const std::vector<LintJob>& jobs,
-                           const std::vector<LintPoint>& points,
-                           const SweepView& view) {
+std::string lint_json(const std::string& experiment,
+                      const std::vector<LintJob>& jobs,
+                      const SweepRun<LintPoint>& run) {
+  const SweepView view = sweep_view(run, jobs.size());
+  const std::vector<LintPoint>& points = run.points;
   // Findings serialize compactly as "0x<pc>:<kind>" CSV — the PCs are the
   // pinned part; details stay in the human report.
   const auto findings_csv = [](const security::LintResult& r) {
@@ -684,101 +696,22 @@ std::string lint_json_impl(const std::string& experiment,
   return out;
 }
 
-// The SweepRun overloads feed the impl the index map; the plain-vector
-// overloads are the identity view (the pre-orchestration byte format).
-template <typename Point>
-SweepView sweep_view(const std::vector<Point>& points,
-                     const SweepRun<Point>& run, usize jobs) {
-  SEMPE_CHECK(run.points.size() == run.indices.size());
-  SEMPE_CHECK(run.total_jobs == jobs);
-  (void)points;
-  return SweepView{&run.indices, run.shard};
-}
-
-}  // namespace
-
-std::string microbench_json(const std::string& experiment,
-                            const std::vector<MicrobenchJob>& jobs,
-                            const std::vector<MicrobenchPoint>& points) {
-  SEMPE_CHECK(jobs.size() == points.size());
-  return microbench_json_impl(experiment, jobs, points, SweepView{});
-}
-
-std::string microbench_json(const std::string& experiment,
-                            const std::vector<MicrobenchJob>& jobs,
-                            const SweepRun<MicrobenchPoint>& run) {
-  return microbench_json_impl(experiment, jobs, run.points,
-                              sweep_view(run.points, run, jobs.size()));
-}
-
-std::string djpeg_json(const std::string& experiment,
-                       const std::vector<DjpegJob>& jobs,
-                       const std::vector<DjpegPoint>& points) {
-  SEMPE_CHECK(jobs.size() == points.size());
-  return djpeg_json_impl(experiment, jobs, points, SweepView{});
-}
-
-std::string djpeg_json(const std::string& experiment,
-                       const std::vector<DjpegJob>& jobs,
-                       const SweepRun<DjpegPoint>& run) {
-  return djpeg_json_impl(experiment, jobs, run.points,
-                         sweep_view(run.points, run, jobs.size()));
-}
-
 std::string workload_json(const std::string& experiment,
                           const std::vector<WorkloadJob>& jobs,
                           const std::vector<WorkloadPoint>& points) {
   SEMPE_CHECK(jobs.size() == points.size());
-  return workload_json_impl(experiment, jobs, points, SweepView{});
-}
-
-std::string workload_json(const std::string& experiment,
-                          const std::vector<WorkloadJob>& jobs,
-                          const SweepRun<WorkloadPoint>& run) {
-  return workload_json_impl(experiment, jobs, run.points,
-                            sweep_view(run.points, run, jobs.size()));
+  return workload_json(experiment, jobs, unsharded_run(points));
 }
 
 std::string leakage_json(const std::string& experiment,
                          const std::vector<LeakageJob>& jobs,
                          const std::vector<LeakagePoint>& points) {
   SEMPE_CHECK(jobs.size() == points.size());
-  return leakage_json_impl(experiment, jobs, points, SweepView{});
+  return leakage_json(experiment, jobs, unsharded_run(points));
 }
 
-std::string leakage_json(const std::string& experiment,
-                         const std::vector<LeakageJob>& jobs,
-                         const SweepRun<LeakagePoint>& run) {
-  return leakage_json_impl(experiment, jobs, run.points,
-                           sweep_view(run.points, run, jobs.size()));
-}
-
-std::string lint_json(const std::string& experiment,
-                      const std::vector<LintJob>& jobs,
-                      const std::vector<LintPoint>& points) {
-  SEMPE_CHECK(jobs.size() == points.size());
-  return lint_json_impl(experiment, jobs, points, SweepView{});
-}
-
-std::string lint_json(const std::string& experiment,
-                      const std::vector<LintJob>& jobs,
-                      const SweepRun<LintPoint>& run) {
-  return lint_json_impl(experiment, jobs, run.points,
-                        sweep_view(run.points, run, jobs.size()));
-}
-
-std::string tenant_json(const std::string& experiment,
-                        const std::vector<LeakageJob>& jobs,
-                        const std::vector<LeakagePoint>& points) {
-  SEMPE_CHECK(jobs.size() == points.size());
-  return tenant_json_impl(experiment, jobs, points, SweepView{});
-}
-
-std::string tenant_json(const std::string& experiment,
-                        const std::vector<LeakageJob>& jobs,
-                        const SweepRun<LeakagePoint>& run) {
-  return tenant_json_impl(experiment, jobs, run.points,
-                          sweep_view(run.points, run, jobs.size()));
+bool label_matches(const std::string& label, const std::string& pattern) {
+  return std::regex_search(label, std::regex(pattern));
 }
 
 BatchCli parse_batch_cli(int& argc, char** argv) {

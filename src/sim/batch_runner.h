@@ -8,6 +8,16 @@
 // index, which makes the output ordering — and any JSON serialization of
 // it — byte-identical regardless of thread count.
 //
+// Four job families share that one orchestrated sweep, and every job names
+// a registry spec (workloads/registry.h), so each figure has one build
+// path and one measurement path:
+//   workload    measure_workload — fig8/fig9 (djpeg), synthetic, scenarios
+//   microbench  a workload point plus its two ideal runs — fig10a/fig10b,
+//               table1/table2, ablation
+//   leakage     the secret-space audit — leakage, tenants
+//   lint        the static lint checked against the audit — lint
+// djpeg_json and tenant_json are report views, not families.
+//
 // The bench_* binaries all dispatch their sweeps through this driver and
 // share the same CLI surface:
 //
@@ -40,7 +50,6 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <regex>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -51,6 +60,8 @@
 #include "sim/experiment.h"
 #include "sim/sweep_cache.h"
 #include "util/clock.h"
+#include "workloads/djpeg.h"
+#include "workloads/kernels.h"
 
 namespace sempe::sim {
 
@@ -160,28 +171,18 @@ auto run_indexed_labeled(usize n, usize threads, Fn&& fn, LabelFn&& label_of)
 // ---------------------------------------------------------------------------
 // Experiment job specs.
 
-struct MicrobenchJob {
-  std::string label;  // e.g. "fibonacci/W=10" or "ablation/spm/64B"
-  workloads::Kind kind{};
-  usize width = 0;
-  MicrobenchOptions opt{};
-};
-
-struct DjpegJob {
-  std::string label;  // e.g. "ppm/256k"
-  workloads::OutputFormat format{};
-  usize pixels = 0;
-  usize scale = 8;
-  u64 image_seed = 1;
-};
-
-/// A registry-resolved workload spec (see workloads/registry.h); the
-/// generator-agnostic job form every future scenario sweep uses.
+/// A registry-resolved workload spec (see workloads/registry.h): the job
+/// form of every performance sweep, Figs. 8/9 (djpeg) included.
 struct WorkloadJob {
-  std::string label;  // e.g. "synthetic.ptr_chase/W=4"
+  std::string label;  // e.g. "synthetic.ptr_chase/W=4" or "PPM/256k"
   std::string spec;   // e.g. "synthetic.ptr_chase?size=4096&width=4"
   MicrobenchOptions opt{};  // machine knobs only (see measure_workload)
 };
+
+/// A workload job measured with its two ideal runs (see
+/// measure_microbench): the Fig. 10 / Table I / ablation job form, over
+/// specs like "micro.ones?width=2&iters=20&secrets=0".
+struct MicrobenchJob : WorkloadJob {};
 
 /// One workload spec audited over the secret space (see measure_leakage).
 /// Co-residence attack specs (attack.*, workloads/attack.h) are ordinary
@@ -239,8 +240,6 @@ struct SweepRun {
 
 SweepRun<MicrobenchPoint> run_microbench_sweep(
     const std::vector<MicrobenchJob>& jobs, const SweepOptions& opt);
-SweepRun<DjpegPoint> run_djpeg_sweep(const std::vector<DjpegJob>& jobs,
-                                     const SweepOptions& opt);
 SweepRun<WorkloadPoint> run_workload_sweep(
     const std::vector<WorkloadJob>& jobs, const SweepOptions& opt);
 SweepRun<LeakagePoint> run_leakage_sweep(const std::vector<LeakageJob>& jobs,
@@ -260,11 +259,15 @@ std::vector<const Point*> points_by_job(const SweepRun<Point>& run) {
   return by_job;
 }
 
-/// Cartesian sweep (kind-major, so a figure's series stay contiguous).
+/// The Fig. 10 spec of one (kind, W) point: `iters` iterations with every
+/// secret false, e.g. "micro.ones?width=2&iters=20&secrets=0".
+std::string microbench_spec(workloads::Kind kind, usize width, usize iters);
+/// Cartesian sweeps (kind-/format-major, so a figure's series stay
+/// contiguous). Labels: "ones/W=2" and "PPM/256k".
 std::vector<MicrobenchJob> microbench_grid(
     const std::vector<workloads::Kind>& kinds, const std::vector<usize>& widths,
-    const MicrobenchOptions& opt);
-std::vector<DjpegJob> djpeg_grid(
+    usize iters, const MicrobenchOptions& opt);
+std::vector<WorkloadJob> djpeg_grid(
     const std::vector<workloads::OutputFormat>& formats,
     const std::vector<usize>& pixel_sizes, usize scale);
 
@@ -292,42 +295,15 @@ const std::vector<usize>& djpeg_sizes();
 
 inline constexpr int kResultSchemaVersion = 3;
 
-std::string microbench_json(const std::string& experiment,
-                            const std::vector<MicrobenchJob>& jobs,
-                            const std::vector<MicrobenchPoint>& points);
-std::string djpeg_json(const std::string& experiment,
-                       const std::vector<DjpegJob>& jobs,
-                       const std::vector<DjpegPoint>& points);
-std::string workload_json(const std::string& experiment,
-                          const std::vector<WorkloadJob>& jobs,
-                          const std::vector<WorkloadPoint>& points);
-std::string leakage_json(const std::string& experiment,
-                         const std::vector<LeakageJob>& jobs,
-                         const std::vector<LeakagePoint>& points);
-std::string lint_json(const std::string& experiment,
-                      const std::vector<LintJob>& jobs,
-                      const std::vector<LintPoint>& points);
-
-/// The co-residence report view over a leakage sweep of attack.* specs:
-/// per-point recovery rates per mode, plus the greppable gate flags
-/// (`legacy_recovery_above_chance`, `sempe_at_chance`, `cte_at_chance`)
-/// CI pins the acceptance criterion on.
-std::string tenant_json(const std::string& experiment,
-                        const std::vector<LeakageJob>& jobs,
-                        const std::vector<LeakagePoint>& points);
-
-// SweepRun-aware emitters. `jobs` is always the FULL job list (shard
-// documents carry the same meta header as the unsharded run; labels
-// resolve through run.indices). An unsharded run serializes exactly like
-// the plain-vector overloads; a sharded one (shard.count > 1) adds a
-// "shard" meta line and a per-point "_index" so sempe_merge can
-// reassemble the unsharded document byte-for-byte.
+// One emitter per family, plus the report views tenant_json and
+// djpeg_json. `jobs` is always the FULL job list (shard documents carry
+// the same meta header as the unsharded run; labels resolve through
+// run.indices). A sharded run (shard.count > 1) adds a "shard" meta line
+// and a per-point "_index" so sempe_merge can reassemble the unsharded
+// document byte-for-byte.
 std::string microbench_json(const std::string& experiment,
                             const std::vector<MicrobenchJob>& jobs,
                             const SweepRun<MicrobenchPoint>& run);
-std::string djpeg_json(const std::string& experiment,
-                       const std::vector<DjpegJob>& jobs,
-                       const SweepRun<DjpegPoint>& run);
 std::string workload_json(const std::string& experiment,
                           const std::vector<WorkloadJob>& jobs,
                           const SweepRun<WorkloadPoint>& run);
@@ -337,9 +313,29 @@ std::string leakage_json(const std::string& experiment,
 std::string lint_json(const std::string& experiment,
                       const std::vector<LintJob>& jobs,
                       const SweepRun<LintPoint>& run);
+/// The co-residence report view over a leakage sweep of attack.* specs:
+/// per-point recovery rates per mode, plus the greppable gate flags
+/// (`legacy_recovery_above_chance`, `sempe_at_chance`, `cte_at_chance`)
+/// CI pins the acceptance criterion on.
 std::string tenant_json(const std::string& experiment,
                         const std::vector<LeakageJob>& jobs,
                         const SweepRun<LeakagePoint>& run);
+/// The Figs. 8/9 report view over a workload sweep of djpeg specs: format
+/// and pixels (read from the canonical spec), cycles, instructions, SeMPE
+/// overhead and both modes' cache miss rates.
+std::string djpeg_json(const std::string& experiment,
+                       const std::vector<WorkloadJob>& jobs,
+                       const SweepRun<WorkloadPoint>& run);
+
+/// Plain job-ordered point vectors (one point per job, no shard), for
+/// callers that measure points themselves. Same bytes as an unsharded
+/// SweepRun.
+std::string workload_json(const std::string& experiment,
+                          const std::vector<WorkloadJob>& jobs,
+                          const std::vector<WorkloadPoint>& points);
+std::string leakage_json(const std::string& experiment,
+                         const std::vector<LeakageJob>& jobs,
+                         const std::vector<LeakagePoint>& points);
 
 // ---------------------------------------------------------------------------
 // Shared bench CLI.
@@ -376,17 +372,21 @@ bool batch_cli_should_exit(const BatchCli& cli, int argc, char** argv,
 /// journal; fingerprint left at the build default).
 SweepOptions sweep_options(const BatchCli& cli);
 
+/// std::regex_search of the ECMAScript `pattern` in `label`. Out of line
+/// so <regex> stays confined to batch_runner.cpp.
+bool label_matches(const std::string& label, const std::string& pattern);
+
 /// Apply --jobs=REGEX: drop every job whose label does not match
-/// (std::regex_search, ECMAScript grammar). An empty surviving list is
-/// legal — the sweep runs zero jobs and the JSON has an empty points
-/// array. parse_batch_cli has already validated the pattern.
+/// (label_matches). An empty surviving list is legal — the sweep runs
+/// zero jobs and the JSON has an empty points array. parse_batch_cli has
+/// already validated the pattern.
 template <typename Job>
 void apply_job_filter(std::vector<Job>& jobs, const BatchCli& cli) {
   if (cli.jobs_regex.empty()) return;
-  const std::regex re(cli.jobs_regex);
-  jobs.erase(std::remove_if(
-                 jobs.begin(), jobs.end(),
-                 [&](const Job& j) { return !std::regex_search(j.label, re); }),
+  jobs.erase(std::remove_if(jobs.begin(), jobs.end(),
+                            [&](const Job& j) {
+                              return !label_matches(j.label, cli.jobs_regex);
+                            }),
              jobs.end());
 }
 

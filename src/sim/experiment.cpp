@@ -1,17 +1,18 @@
 #include "sim/experiment.h"
 
 #include <cstdlib>
+#include <limits>
+
+#include "util/check.h"
 
 namespace sempe::sim {
 
-using workloads::BuiltMicrobench;
-using workloads::MicrobenchConfig;
 using workloads::Variant;
 
 namespace {
 
 RunResult run_built(const isa::Program& program, cpu::ExecMode mode,
-                    const MicrobenchOptions& opt = {}, Addr probe_addr = 0,
+                    const MicrobenchOptions& opt, Addr probe_addr = 0,
                     usize probe_words = 0) {
   RunConfig rc;
   rc.core.mode = mode;
@@ -27,64 +28,11 @@ RunResult run_built(const isa::Program& program, cpu::ExecMode mode,
   return run(program, rc);
 }
 
-}  // namespace
-
-MicrobenchPoint measure_microbench(workloads::Kind kind, usize width,
-                                   const MicrobenchOptions& opt) {
-  MicrobenchPoint pt;
-  pt.kind = kind;
-  pt.width = width;
-
-  MicrobenchConfig cfg;
-  cfg.kind = kind;
-  cfg.width = width;
-  cfg.iterations = opt.iterations;
-  cfg.size = opt.size;
-  cfg.input_seed = opt.input_seed;
-  cfg.secrets.assign(width, 0);  // all false at run time
-
-  // Baseline and SeMPE: the same annotated binary, two modes.
-  cfg.variant = Variant::kSecure;
-  const BuiltMicrobench secure = build_microbench(cfg);
-  {
-    const RunResult r = run_built(secure.program, cpu::ExecMode::kLegacy, opt);
-    pt.baseline_cycles = r.cycles();
-    pt.baseline_instructions = r.instructions;
-  }
-  {
-    const RunResult r = run_built(secure.program, cpu::ExecMode::kSempe, opt);
-    pt.sempe_cycles = r.cycles();
-    pt.sempe_instructions = r.instructions;
-  }
-
-  // CTE (FaCT-style) binary on the legacy core.
-  cfg.variant = Variant::kCte;
-  const BuiltMicrobench cte = build_microbench(cfg);
-  {
-    const RunResult r = run_built(cte.program, cpu::ExecMode::kLegacy, opt);
-    pt.cte_cycles = r.cycles();
-    pt.cte_instructions = r.instructions;
-  }
-
-  // Ideal (combined): all paths execute once in a single legacy run.
-  cfg.variant = Variant::kSecure;
-  cfg.secrets.assign(width, 1);
-  const BuiltMicrobench all_true = build_microbench(cfg);
-  pt.ideal_combined_cycles =
-      run_built(all_true.program, cpu::ExecMode::kLegacy, opt).cycles();
-
-  // Ideal (standalone): each path costed in isolation = (W+1) x the
-  // single-workload run.
-  MicrobenchConfig single = cfg;
-  single.width = 0;
-  single.secrets.clear();
-  const BuiltMicrobench one = build_microbench(single);
-  const Cycle t1 =
-      run_built(one.program, cpu::ExecMode::kLegacy, opt).cycles();
-  pt.ideal_standalone_cycles = static_cast<Cycle>(width + 1) * t1;
-
-  return pt;
+MissRates miss_rates(const pipeline::PipelineStats& s) {
+  return {s.il1_miss_rate(), s.dl1_miss_rate(), s.l2_miss_rate()};
 }
+
+}  // namespace
 
 const ModeResultCheck* WorkloadPoint::check(const std::string& mode) const {
   for (const ModeResultCheck& c : checks)
@@ -105,7 +53,6 @@ std::string WorkloadPoint::mismatch_summary() const {
 WorkloadPoint measure_workload(const std::string& spec,
                                const MicrobenchOptions& opt) {
   using workloads::BuiltWorkload;
-  using workloads::Variant;
 
   // One parse + one registry lookup serve all the builds of this point.
   const workloads::WorkloadSpec parsed = workloads::WorkloadSpec::parse(spec);
@@ -134,12 +81,14 @@ WorkloadPoint measure_workload(const std::string& spec,
     const RunResult r = timed(secure, cpu::ExecMode::kLegacy);
     pt.baseline_cycles = r.cycles();
     pt.baseline_instructions = r.instructions;
+    pt.baseline_miss = miss_rates(r.stats);
     checked("legacy", r.probed, secure.expected_results);
   }
   {
     const RunResult r = timed(secure, cpu::ExecMode::kSempe);
     pt.sempe_cycles = r.cycles();
     pt.sempe_instructions = r.instructions;
+    pt.sempe_miss = miss_rates(r.stats);
     checked("sempe", r.probed, secure.expected_results);
   }
 
@@ -161,6 +110,44 @@ WorkloadPoint measure_workload(const std::string& spec,
   }
   pt.results_ok = true;
   for (const ModeResultCheck& c : pt.checks) pt.results_ok = pt.results_ok && c.ok;
+  return pt;
+}
+
+std::string MicrobenchPoint::kind() const {
+  const std::string name = workloads::WorkloadSpec::parse(spec).name;
+  return name.substr(name.find('.') + 1);  // npos + 1 == 0: keep it whole
+}
+
+usize MicrobenchPoint::width() const {
+  return static_cast<usize>(
+      workloads::WorkloadSpec::parse(spec).get_u64("width", 1));
+}
+
+MicrobenchPoint measure_microbench(const std::string& spec,
+                                   const MicrobenchOptions& opt) {
+  MicrobenchPoint pt;
+  static_cast<WorkloadPoint&>(pt) = measure_workload(spec, opt);
+
+  // Both ideals re-parameterize the canonical spec and time the secure
+  // binary on the legacy core.
+  workloads::WorkloadSpec ideal = workloads::WorkloadSpec::parse(pt.spec);
+  const workloads::WorkloadGenerator& gen =
+      workloads::WorkloadRegistry::instance().resolve(ideal.name);
+  const auto legacy_cycles = [&] {
+    return run_built(gen.build(ideal, Variant::kSecure).program,
+                     cpu::ExecMode::kLegacy, opt)
+        .cycles();
+  };
+  const Cycle width = ideal.get_u64("width", 1);
+
+  // Ideal (combined): all paths execute once in a single legacy run.
+  ideal.set("secrets", "1");
+  pt.ideal_combined_cycles = legacy_cycles();
+
+  // Ideal (standalone): each path costed in isolation = (W+1) x the
+  // single-workload run.
+  ideal.set("width", "0");
+  pt.ideal_standalone_cycles = (width + 1) * legacy_cycles();
   return pt;
 }
 
@@ -247,29 +234,19 @@ LintPoint measure_lint(const std::string& spec,
   return pt;
 }
 
-DjpegPoint measure_djpeg(workloads::OutputFormat fmt, usize pixels,
-                         usize scale, u64 image_seed) {
-  DjpegPoint pt;
-  pt.format = fmt;
-  pt.pixels = pixels;
-
-  workloads::DjpegConfig cfg;
-  cfg.format = fmt;
-  cfg.pixels = pixels;
-  cfg.scale = scale;
-  cfg.image_seed = image_seed;
-  const workloads::BuiltDjpeg built = build_djpeg(cfg);
-
-  pt.baseline = run_built(built.program, cpu::ExecMode::kLegacy).stats;
-  pt.sempe = run_built(built.program, cpu::ExecMode::kSempe).stats;
-  return pt;
-}
-
 usize env_usize(const char* name, usize fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  const long long parsed = std::atoll(v);
-  return parsed > 0 ? static_cast<usize>(parsed) : fallback;
+  usize parsed = 0;
+  for (const char* c = v; *c != '\0'; ++c) {
+    const usize digit = static_cast<usize>(*c - '0');
+    if (*c < '0' || *c > '9' ||
+        parsed > (std::numeric_limits<usize>::max() - digit) / 10)
+      throw SimError(std::string(name) + "='" + v +
+                     "' is not a decimal number that fits a usize");
+    parsed = parsed * 10 + digit;
+  }
+  return parsed == 0 ? fallback : parsed;
 }
 
 }  // namespace sempe::sim

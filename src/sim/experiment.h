@@ -1,6 +1,6 @@
-// Experiment drivers for the paper's evaluation (Section VI).
-//
-// A "point" bundles the runs needed for one x-axis position of a figure:
+// Experiment drivers for the paper's evaluation (Section VI). Every
+// performance point is measure_workload on a registry spec (Figs. 8/9 run
+// djpeg specs); a Fig. 10 point adds the ideal runs (measure_microbench):
 //
 //   baseline — the sJMP-annotated binary on the legacy core (the paper's
 //              unprotected baseline; prefixes are ignored).
@@ -18,17 +18,13 @@
 #include "security/audit.h"
 #include "security/taint_lint.h"
 #include "sim/simulator.h"
-#include "workloads/djpeg.h"
-#include "workloads/microbench.h"
 #include "workloads/registry.h"
 
 namespace sempe::sim {
 
+/// Machine knobs for ablation studies, applied to every run of a point.
+/// The workload shape (iters, size, seed) travels in the spec.
 struct MicrobenchOptions {
-  usize iterations = 60;
-  usize size = 0;  // 0 = per-kind default
-  u64 input_seed = 42;
-  // Machine knobs for ablation studies (applied to every run of a point):
   cpu::SnapshotModel snapshot_model = cpu::SnapshotModel::kArchRS;
   u32 spm_bytes_per_cycle = 64;
   bool enable_prefetchers = true;
@@ -36,64 +32,17 @@ struct MicrobenchOptions {
   u32 rename_width_override = 0;    // 0 = Table II default; LRS tag-port cost
 };
 
-struct MicrobenchPoint {
-  workloads::Kind kind{};
-  usize width = 0;
-  Cycle baseline_cycles = 0;
-  Cycle sempe_cycles = 0;
-  Cycle cte_cycles = 0;
-  Cycle ideal_combined_cycles = 0;
-  Cycle ideal_standalone_cycles = 0;
-  u64 baseline_instructions = 0;
-  u64 sempe_instructions = 0;
-  u64 cte_instructions = 0;
-
-  double sempe_slowdown() const { return ratio(sempe_cycles, baseline_cycles); }
-  double cte_slowdown() const { return ratio(cte_cycles, baseline_cycles); }
-  double sempe_vs_ideal_combined() const {
-    return ratio(sempe_cycles, ideal_combined_cycles);
-  }
-  double sempe_vs_ideal_standalone() const {
-    return ratio(sempe_cycles, ideal_standalone_cycles);
-  }
-  double cte_vs_sempe() const { return ratio(cte_cycles, sempe_cycles); }
-
-  static double ratio(Cycle a, Cycle b) {
-    return b == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(b);
-  }
-};
-
-/// Run all configurations for one (kind, W) point. All secret values are
-/// false at run time (the baseline skips every guarded workload, which is
-/// what makes the Fig. 10 slowdown ~ W+1).
-MicrobenchPoint measure_microbench(workloads::Kind kind, usize width,
-                                   const MicrobenchOptions& opt = {});
-
-struct DjpegPoint {
-  workloads::OutputFormat format{};
-  usize pixels = 0;
-  pipeline::PipelineStats baseline;
-  pipeline::PipelineStats sempe;
-
-  double overhead() const {
-    return baseline.cycles == 0
-               ? 0.0
-               : static_cast<double>(sempe.cycles) /
-                         static_cast<double>(baseline.cycles) -
-                     1.0;
-  }
-};
-
-/// Run the djpeg workload for one (format, size) cell of Figs. 8 and 9.
-DjpegPoint measure_djpeg(workloads::OutputFormat fmt, usize pixels,
-                         usize scale = 8, u64 image_seed = 1);
-
 /// The result check of one mode's run: which run diverged from the
 /// host-computed expectations, and where.
 struct ModeResultCheck {
   std::string mode;    // "legacy" | "sempe" | "cte"
   bool ok = true;
   std::string detail;  // first mismatching word, "" when ok
+};
+
+/// IL1/DL1/L2 miss rates of one run (the per-level view of Fig. 9).
+struct MissRates {
+  double il1 = 0.0, dl1 = 0.0, l2 = 0.0;
 };
 
 /// One registry-resolved workload spec, timed across the full mode matrix:
@@ -112,24 +61,53 @@ struct WorkloadPoint {
   u64 baseline_instructions = 0;
   u64 sempe_instructions = 0;
   u64 cte_instructions = 0;
+  MissRates baseline_miss;
+  MissRates sempe_miss;
 
-  double sempe_slowdown() const {
-    return MicrobenchPoint::ratio(sempe_cycles, baseline_cycles);
-  }
-  double cte_slowdown() const {
-    return MicrobenchPoint::ratio(cte_cycles, baseline_cycles);
-  }
+  double sempe_slowdown() const { return ratio(sempe_cycles, baseline_cycles); }
+  double cte_slowdown() const { return ratio(cte_cycles, baseline_cycles); }
   /// nullptr when the mode was not run (e.g. "cte" without a variant).
   const ModeResultCheck* check(const std::string& mode) const;
   /// "mode: detail" for every failed mode, "; "-joined ("" when all ok).
   std::string mismatch_summary() const;
+
+  static double ratio(Cycle a, Cycle b) {
+    return b == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(b);
+  }
 };
 
-/// Resolve `spec` through the workload registry and measure it. The
-/// machine knobs of `opt` apply to every run; its iterations/size fields
-/// are ignored (the spec's own parameters control workload shape).
+/// Resolve `spec` through the workload registry and measure it, with the
+/// machine knobs of `opt` applied to every run.
 WorkloadPoint measure_workload(const std::string& spec,
                                const MicrobenchOptions& opt = {});
+
+/// A Fig. 10 point: measure_workload on a harnessed spec (micro.*) plus
+/// the two ideals of the header comment, each the baseline (secure binary,
+/// legacy core) of a re-parameterized spec: `secrets=1` for combined,
+/// (W+1) x `width=0` for standalone.
+struct MicrobenchPoint : WorkloadPoint {
+  Cycle ideal_combined_cycles = 0;
+  Cycle ideal_standalone_cycles = 0;
+
+  /// The spec's generator name after its family prefix ("ones").
+  std::string kind() const;
+  /// The spec's nesting width W.
+  usize width() const;
+
+  double sempe_vs_ideal_combined() const {
+    return ratio(sempe_cycles, ideal_combined_cycles);
+  }
+  double sempe_vs_ideal_standalone() const {
+    return ratio(sempe_cycles, ideal_standalone_cycles);
+  }
+  double cte_vs_sempe() const { return ratio(cte_cycles, sempe_cycles); }
+};
+
+/// Measure `spec` and its two ideals. The Fig. 10 grid passes `secrets=0`
+/// (the baseline skips every guarded workload, which is what makes the
+/// slowdown ~ W+1); the registry default is all-true.
+MicrobenchPoint measure_microbench(const std::string& spec,
+                                   const MicrobenchOptions& opt = {});
 
 /// One registry-resolved workload spec swept over the secret space: the
 /// leakage audit (security/audit.h) packaged as a batch-runner point. For
@@ -215,8 +193,11 @@ LintPoint measure_lint(const std::string& spec,
 
 /// Benchmark scaling knobs from the environment (so `make bench` stays
 /// fast by default but full-size runs are one env var away):
-///   SEMPE_BENCH_ITERS  — microbenchmark iterations (default 60)
-///   SEMPE_DJPEG_SCALE  — djpeg pixel divisor (default 8; 1 = paper size)
+///   SEMPE_BENCH_ITERS  — microbenchmark iterations
+///   SEMPE_DJPEG_SCALE  — djpeg pixel divisor (1 = paper size)
+/// Unset, empty or 0 means `fallback`. Anything else must be a decimal
+/// number that fits a usize; otherwise throws SimError naming the
+/// variable and its value.
 usize env_usize(const char* name, usize fallback);
 
 }  // namespace sempe::sim

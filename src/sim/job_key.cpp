@@ -5,8 +5,6 @@
 
 #include "sim/sweep_codec.h"
 #include "util/check.h"
-#include "workloads/djpeg.h"
-#include "workloads/kernels.h"
 #include "workloads/registry.h"
 
 namespace sempe::sim {
@@ -63,9 +61,7 @@ void append_u64(std::string& out, const char* key, u64 v) {
   out += std::to_string(v);
 }
 
-/// The MicrobenchOptions fields measure_workload reads —
-/// the machine knobs. iterations/size/input_seed are spec-controlled for
-/// registry workloads and must NOT perturb their keys.
+/// The MicrobenchOptions machine knobs measure_workload applies.
 std::string machine_knobs_text(const MicrobenchOptions& opt) {
   std::string out;
   append_u64(out, "snapshot_model", static_cast<u64>(opt.snapshot_model));
@@ -73,17 +69,6 @@ std::string machine_knobs_text(const MicrobenchOptions& opt) {
   append_u64(out, "enable_prefetchers", opt.enable_prefetchers ? 1 : 0);
   append_u64(out, "extra_front_end_depth", opt.extra_front_end_depth);
   append_u64(out, "rename_width_override", opt.rename_width_override);
-  return out;
-}
-
-/// Full MicrobenchOptions text — measure_microbench reads every field.
-std::string machine_full_text(const MicrobenchOptions& opt) {
-  std::string out;
-  append_u64(out, "iterations", opt.iterations);
-  append_u64(out, "size", opt.size);
-  append_u64(out, "input_seed", opt.input_seed);
-  out += ' ';
-  out += machine_knobs_text(opt);
   return out;
 }
 
@@ -106,30 +91,6 @@ std::string audit_text(const security::AuditOptions& opt) {
 
 }  // namespace
 
-JobIdentity job_identity(const MicrobenchJob& job,
-                         const std::string& fingerprint) {
-  JobIdentity id;
-  id.family = kMicrobenchFamily;
-  id.spec = std::string("kind=") + workloads::kind_name(job.kind) +
-            "&width=" + std::to_string(job.width);
-  id.machine = machine_full_text(job.opt);
-  id.modes = "legacy,sempe,cte,ideal";
-  id.fingerprint = fingerprint;
-  return id;
-}
-
-JobIdentity job_identity(const DjpegJob& job, const std::string& fingerprint) {
-  JobIdentity id;
-  id.family = kDjpegFamily;
-  id.spec = std::string("format=") + workloads::format_name(job.format) +
-            "&pixels=" + std::to_string(job.pixels) +
-            "&scale=" + std::to_string(job.scale) +
-            "&image_seed=" + std::to_string(job.image_seed);
-  id.modes = "legacy,sempe";
-  id.fingerprint = fingerprint;
-  return id;
-}
-
 JobIdentity job_identity(const WorkloadJob& job,
                          const std::string& fingerprint) {
   JobIdentity id;
@@ -138,6 +99,17 @@ JobIdentity job_identity(const WorkloadJob& job,
   id.machine = machine_knobs_text(job.opt);
   id.modes = "legacy,sempe,cte";
   id.fingerprint = fingerprint;
+  return id;
+}
+
+JobIdentity job_identity(const MicrobenchJob& job,
+                         const std::string& fingerprint) {
+  // The workload identity of the same spec, re-familied: the ideal runs
+  // make it a different result, so the two must never share an entry.
+  JobIdentity id =
+      job_identity(static_cast<const WorkloadJob&>(job), fingerprint);
+  id.family = kMicrobenchFamily;
+  id.modes = "legacy,sempe,cte,ideal";
   return id;
 }
 

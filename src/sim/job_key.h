@@ -11,9 +11,8 @@
 // includes:
 //   - job labels (cosmetic; the JSON emitters take labels from the job
 //     list, never from cached points);
-//   - options the measurement never reads (measure_workload ignores
-//     iterations/size/input_seed; AuditOptions::progress steers stderr
-//     only);
+//   - options the measurement never reads (AuditOptions::progress
+//     steers stderr only);
 //   - thread count, shard assignment, cache/journal paths — the
 //     byte-identity contract says those cannot change results.
 //
@@ -60,7 +59,6 @@ struct JobIdentity {
 // stale-entry behavior.
 JobIdentity job_identity(const MicrobenchJob& job,
                          const std::string& fingerprint);
-JobIdentity job_identity(const DjpegJob& job, const std::string& fingerprint);
 JobIdentity job_identity(const WorkloadJob& job,
                          const std::string& fingerprint);
 JobIdentity job_identity(const LeakageJob& job,

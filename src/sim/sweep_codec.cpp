@@ -143,56 +143,6 @@ u64 checked_enum(const PointReader& r, const std::string& key, u64 max_value) {
   return v;
 }
 
-void put_pipeline_stats(PointWriter& w, const std::string& p,
-                        const pipeline::PipelineStats& s) {
-  w.put_u64(p + "cycles", s.cycles);
-  w.put_u64(p + "instructions", s.instructions);
-  w.put_u64(p + "cond_branches", s.cond_branches);
-  w.put_u64(p + "branch_mispredicts", s.branch_mispredicts);
-  w.put_u64(p + "indirect_mispredicts", s.indirect_mispredicts);
-  w.put_u64(p + "btb_misses", s.btb_misses);
-  w.put_u64(p + "loads", s.loads);
-  w.put_u64(p + "stores", s.stores);
-  w.put_u64(p + "store_forwards", s.store_forwards);
-  w.put_u64(p + "sjmp_executed", s.sjmp_executed);
-  w.put_u64(p + "secure_regions_completed", s.secure_regions_completed);
-  w.put_u64(p + "spm_bytes", s.spm_bytes);
-  w.put_u64(p + "spm_transfer_cycles", s.spm_transfer_cycles);
-  w.put_u64(p + "drain_stall_cycles", s.drain_stall_cycles);
-  w.put_u64(p + "il1_accesses", s.il1_accesses);
-  w.put_u64(p + "il1_misses", s.il1_misses);
-  w.put_u64(p + "dl1_accesses", s.dl1_accesses);
-  w.put_u64(p + "dl1_misses", s.dl1_misses);
-  w.put_u64(p + "l2_accesses", s.l2_accesses);
-  w.put_u64(p + "l2_misses", s.l2_misses);
-}
-
-pipeline::PipelineStats get_pipeline_stats(const PointReader& r,
-                                           const std::string& p) {
-  pipeline::PipelineStats s;
-  s.cycles = r.get_u64(p + "cycles");
-  s.instructions = r.get_u64(p + "instructions");
-  s.cond_branches = r.get_u64(p + "cond_branches");
-  s.branch_mispredicts = r.get_u64(p + "branch_mispredicts");
-  s.indirect_mispredicts = r.get_u64(p + "indirect_mispredicts");
-  s.btb_misses = r.get_u64(p + "btb_misses");
-  s.loads = r.get_u64(p + "loads");
-  s.stores = r.get_u64(p + "stores");
-  s.store_forwards = r.get_u64(p + "store_forwards");
-  s.sjmp_executed = r.get_u64(p + "sjmp_executed");
-  s.secure_regions_completed = r.get_u64(p + "secure_regions_completed");
-  s.spm_bytes = r.get_u64(p + "spm_bytes");
-  s.spm_transfer_cycles = r.get_u64(p + "spm_transfer_cycles");
-  s.drain_stall_cycles = r.get_u64(p + "drain_stall_cycles");
-  s.il1_accesses = r.get_u64(p + "il1_accesses");
-  s.il1_misses = r.get_u64(p + "il1_misses");
-  s.dl1_accesses = r.get_u64(p + "dl1_accesses");
-  s.dl1_misses = r.get_u64(p + "dl1_misses");
-  s.l2_accesses = r.get_u64(p + "l2_accesses");
-  s.l2_misses = r.get_u64(p + "l2_misses");
-  return s;
-}
-
 void put_audit(PointWriter& w, const std::string& p,
                const security::WorkloadAudit& a) {
   w.put_str(p + "spec", a.spec);
@@ -329,60 +279,19 @@ std::vector<std::string> get_string_list(const PointReader& r,
 // ---------------------------------------------------------------------------
 // Per-family codecs
 
-std::string encode_point(const MicrobenchPoint& p) {
-  PointWriter w(kMicrobenchFamily);
-  w.put_u64("kind", static_cast<u64>(p.kind));
-  w.put_u64("width", p.width);
-  w.put_u64("baseline_cycles", p.baseline_cycles);
-  w.put_u64("sempe_cycles", p.sempe_cycles);
-  w.put_u64("cte_cycles", p.cte_cycles);
-  w.put_u64("ideal_combined_cycles", p.ideal_combined_cycles);
-  w.put_u64("ideal_standalone_cycles", p.ideal_standalone_cycles);
-  w.put_u64("baseline_instructions", p.baseline_instructions);
-  w.put_u64("sempe_instructions", p.sempe_instructions);
-  w.put_u64("cte_instructions", p.cte_instructions);
-  return w.str();
+namespace {
+
+void put_miss_rates(PointWriter& w, const std::string& p, const MissRates& m) {
+  w.put_f64(p + "il1", m.il1);
+  w.put_f64(p + "dl1", m.dl1);
+  w.put_f64(p + "l2", m.l2);
 }
 
-MicrobenchPoint decode_microbench_point(const std::string& blob) {
-  const PointReader r(kMicrobenchFamily, blob);
-  MicrobenchPoint p;
-  p.kind = static_cast<workloads::Kind>(
-      checked_enum(r, "kind", static_cast<u64>(workloads::Kind::kQueens)));
-  p.width = r.get_u64("width");
-  p.baseline_cycles = r.get_u64("baseline_cycles");
-  p.sempe_cycles = r.get_u64("sempe_cycles");
-  p.cte_cycles = r.get_u64("cte_cycles");
-  p.ideal_combined_cycles = r.get_u64("ideal_combined_cycles");
-  p.ideal_standalone_cycles = r.get_u64("ideal_standalone_cycles");
-  p.baseline_instructions = r.get_u64("baseline_instructions");
-  p.sempe_instructions = r.get_u64("sempe_instructions");
-  p.cte_instructions = r.get_u64("cte_instructions");
-  return p;
+MissRates get_miss_rates(const PointReader& r, const std::string& p) {
+  return {r.get_f64(p + "il1"), r.get_f64(p + "dl1"), r.get_f64(p + "l2")};
 }
 
-std::string encode_point(const DjpegPoint& p) {
-  PointWriter w(kDjpegFamily);
-  w.put_u64("format", static_cast<u64>(p.format));
-  w.put_u64("pixels", p.pixels);
-  put_pipeline_stats(w, "baseline.", p.baseline);
-  put_pipeline_stats(w, "sempe.", p.sempe);
-  return w.str();
-}
-
-DjpegPoint decode_djpeg_point(const std::string& blob) {
-  const PointReader r(kDjpegFamily, blob);
-  DjpegPoint p;
-  p.format = static_cast<workloads::OutputFormat>(checked_enum(
-      r, "format", static_cast<u64>(workloads::OutputFormat::kBmp)));
-  p.pixels = r.get_u64("pixels");
-  p.baseline = get_pipeline_stats(r, "baseline.");
-  p.sempe = get_pipeline_stats(r, "sempe.");
-  return p;
-}
-
-std::string encode_point(const WorkloadPoint& p) {
-  PointWriter w(kWorkloadFamily);
+void put_workload(PointWriter& w, const WorkloadPoint& p) {
   w.put_str("spec", p.spec);
   w.put_bool("has_cte", p.has_cte);
   w.put_bool("results_ok", p.results_ok);
@@ -398,12 +307,11 @@ std::string encode_point(const WorkloadPoint& p) {
   w.put_u64("baseline_instructions", p.baseline_instructions);
   w.put_u64("sempe_instructions", p.sempe_instructions);
   w.put_u64("cte_instructions", p.cte_instructions);
-  return w.str();
+  put_miss_rates(w, "baseline_miss.", p.baseline_miss);
+  put_miss_rates(w, "sempe_miss.", p.sempe_miss);
 }
 
-WorkloadPoint decode_workload_point(const std::string& blob) {
-  const PointReader r(kWorkloadFamily, blob);
-  WorkloadPoint p;
+void get_workload(const PointReader& r, WorkloadPoint& p) {
   p.spec = r.get_str("spec");
   p.has_cte = r.get_bool("has_cte");
   p.results_ok = r.get_bool("results_ok");
@@ -421,6 +329,40 @@ WorkloadPoint decode_workload_point(const std::string& blob) {
   p.baseline_instructions = r.get_u64("baseline_instructions");
   p.sempe_instructions = r.get_u64("sempe_instructions");
   p.cte_instructions = r.get_u64("cte_instructions");
+  p.baseline_miss = get_miss_rates(r, "baseline_miss.");
+  p.sempe_miss = get_miss_rates(r, "sempe_miss.");
+}
+
+}  // namespace
+
+std::string encode_point(const WorkloadPoint& p) {
+  PointWriter w(kWorkloadFamily);
+  put_workload(w, p);
+  return w.str();
+}
+
+WorkloadPoint decode_workload_point(const std::string& blob) {
+  WorkloadPoint p;
+  get_workload(PointReader(kWorkloadFamily, blob), p);
+  return p;
+}
+
+// A microbench point is a workload point plus its two ideals, under its
+// own family header so neither decoder accepts the other's blobs.
+std::string encode_point(const MicrobenchPoint& p) {
+  PointWriter w(kMicrobenchFamily);
+  put_workload(w, p);
+  w.put_u64("ideal_combined_cycles", p.ideal_combined_cycles);
+  w.put_u64("ideal_standalone_cycles", p.ideal_standalone_cycles);
+  return w.str();
+}
+
+MicrobenchPoint decode_microbench_point(const std::string& blob) {
+  const PointReader r(kMicrobenchFamily, blob);
+  MicrobenchPoint p;
+  get_workload(r, p);
+  p.ideal_combined_cycles = r.get_u64("ideal_combined_cycles");
+  p.ideal_standalone_cycles = r.get_u64("ideal_standalone_cycles");
   return p;
 }
 

@@ -52,19 +52,16 @@ class PointReader {
 
 // Family names used in blob headers (and by the job keys of job_key.h).
 inline constexpr const char* kMicrobenchFamily = "microbench";
-inline constexpr const char* kDjpegFamily = "djpeg";
 inline constexpr const char* kWorkloadFamily = "workload";
 inline constexpr const char* kLeakageFamily = "leakage";
 inline constexpr const char* kLintFamily = "lint";
 
 std::string encode_point(const MicrobenchPoint& p);
-std::string encode_point(const DjpegPoint& p);
 std::string encode_point(const WorkloadPoint& p);
 std::string encode_point(const LeakagePoint& p);
 std::string encode_point(const LintPoint& p);
 
 MicrobenchPoint decode_microbench_point(const std::string& blob);
-DjpegPoint decode_djpeg_point(const std::string& blob);
 WorkloadPoint decode_workload_point(const std::string& blob);
 LeakagePoint decode_leakage_point(const std::string& blob);
 LintPoint decode_lint_point(const std::string& blob);

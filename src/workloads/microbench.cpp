@@ -1,7 +1,5 @@
 #include "workloads/microbench.h"
 
-#include "util/check.h"
-
 namespace sempe::workloads {
 
 KernelSpec microbench_kernel_spec(Kind kind, usize size, u64 input_seed) {
@@ -19,26 +17,6 @@ KernelSpec microbench_kernel_spec(Kind kind, usize size, u64 input_seed) {
     emit_kernel_cte(pb, kind, p);
   };
   return s;
-}
-
-BuiltMicrobench build_microbench(const MicrobenchConfig& cfg) {
-  const usize n = cfg.size ? cfg.size : kernel_default_size(cfg.kind);
-  const KernelSpec spec = microbench_kernel_spec(cfg.kind, n, cfg.input_seed);
-
-  HarnessConfig h;
-  h.width = cfg.width;
-  h.iterations = cfg.iterations;
-  h.variant = cfg.variant;
-  h.secrets = cfg.secrets;
-  BuiltHarness b = build_harness(spec, h);
-
-  BuiltMicrobench out;
-  out.program = std::move(b.program);
-  out.results_addr = b.results_addr;
-  out.num_results = b.num_results;
-  out.expected_results = std::move(b.expected_results);
-  out.effective_size = n;
-  return out;
 }
 
 }  // namespace sempe::workloads

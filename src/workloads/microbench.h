@@ -18,38 +18,18 @@
 //
 // width = 0 builds the degenerate loop with only workload W+1, used for
 // computing the ideal (sum-of-paths) reference.
+//
+// The one build path is the registry's `micro.<kind>?size=N&width=W&...`
+// generator: build_harness over microbench_kernel_spec below.
 #pragma once
 
-#include <vector>
-
-#include "isa/program.h"
 #include "workloads/harness.h"
 #include "workloads/kernels.h"
 
 namespace sempe::workloads {
 
-struct MicrobenchConfig {
-  Kind kind = Kind::kFibonacci;
-  usize width = 1;          // W: number of secret branches per iteration
-  usize iterations = 100;   // I
-  usize size = 0;           // kernel problem size; 0 = kernel_default_size
-  Variant variant = Variant::kSecure;
-  std::vector<u8> secrets;  // s1..sW (0/1); missing entries default to 0
-  u64 input_seed = 42;
-};
-
-struct BuiltMicrobench {
-  isa::Program program;
-  Addr results_addr = 0;             // W+1 merged result words
-  usize num_results = 0;
-  std::vector<u64> expected_results; // host-computed, given the secrets
-  usize effective_size = 0;          // resolved kernel size
-};
-
-BuiltMicrobench build_microbench(const MicrobenchConfig& cfg);
-
-/// The harness-facing form of one microbenchmark kernel, for callers that
-/// compose their own HarnessConfig (the workload registry).
+/// The harness-facing form of one microbenchmark kernel; the registry's
+/// micro.<kind> generators wrap it in build_harness.
 KernelSpec microbench_kernel_spec(Kind kind, usize size, u64 input_seed);
 
 }  // namespace sempe::workloads

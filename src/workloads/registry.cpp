@@ -179,6 +179,29 @@ HarnessConfig harness_config_from_spec(const WorkloadSpec& spec,
   return h;
 }
 
+DjpegConfig djpeg_config_from_spec(const WorkloadSpec& spec) {
+  DjpegConfig cfg;
+  const std::string fmt = spec.get("format", "ppm");
+  if (fmt == "ppm") cfg.format = OutputFormat::kPpm;
+  else if (fmt == "gif") cfg.format = OutputFormat::kGif;
+  else if (fmt == "bmp") cfg.format = OutputFormat::kBmp;
+  else
+    throw SimError("workload 'djpeg': unknown format '" + fmt +
+                   "' (accepted: ppm, gif, bmp)");
+  cfg.pixels = spec.get_u64("pixels", cfg.pixels);
+  cfg.scale = spec.get_u64("scale", cfg.scale);
+  cfg.image_seed = spec.get_u64("seed", cfg.image_seed);
+  // Range-check before building: an unbounded pixel count would make
+  // the builder allocate (and host-decode) an arbitrarily large image.
+  if (cfg.pixels < 64 || cfg.pixels > (1u << 24))
+    throw SimError("workload 'djpeg': pixels=" +
+                   std::to_string(cfg.pixels) + " out of range [64, 2^24]");
+  if (cfg.scale < 1 || cfg.scale > 256)
+    throw SimError("workload 'djpeg': scale=" + std::to_string(cfg.scale) +
+                   " out of range [1, 256]");
+  return cfg;
+}
+
 namespace {
 
 /// Canonicalize the harness keys shared by every harnessed generator.
@@ -292,27 +315,7 @@ class DjpegGenerator final : public WorkloadGenerator {
     spec.set_default_u64("scale", 8);
     spec.set_default_u64("seed", 1);
 
-    DjpegConfig cfg;
-    const std::string fmt = spec.get("format", "ppm");
-    if (fmt == "ppm") cfg.format = OutputFormat::kPpm;
-    else if (fmt == "gif") cfg.format = OutputFormat::kGif;
-    else if (fmt == "bmp") cfg.format = OutputFormat::kBmp;
-    else
-      throw SimError("workload 'djpeg': unknown format '" + fmt +
-                     "' (accepted: ppm, gif, bmp)");
-    cfg.pixels = spec.get_u64("pixels", cfg.pixels);
-    cfg.scale = spec.get_u64("scale", cfg.scale);
-    cfg.image_seed = spec.get_u64("seed", cfg.image_seed);
-    // Range-check before building: an unbounded pixel count would make
-    // the builder allocate (and host-decode) an arbitrarily large image.
-    if (cfg.pixels < 64 || cfg.pixels > (1u << 24))
-      throw SimError("workload 'djpeg': pixels=" +
-                     std::to_string(cfg.pixels) + " out of range [64, 2^24]");
-    if (cfg.scale < 1 || cfg.scale > 256)
-      throw SimError("workload 'djpeg': scale=" + std::to_string(cfg.scale) +
-                     " out of range [1, 256]");
-
-    BuiltDjpeg b = build_djpeg(cfg);
+    BuiltDjpeg b = build_djpeg(djpeg_config_from_spec(spec));
     BuiltWorkload out;
     out.program = std::move(b.program);
     out.spec = spec.to_string();

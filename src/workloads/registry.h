@@ -24,6 +24,7 @@
 #include "isa/program.h"
 #include "security/observation.h"
 #include "security/taint_lint.h"
+#include "workloads/djpeg.h"
 #include "workloads/harness.h"
 
 namespace sempe::workloads {
@@ -162,5 +163,11 @@ class WorkloadRegistry {
 /// the default).
 HarnessConfig harness_config_from_spec(const WorkloadSpec& spec,
                                        Variant variant);
+
+/// The djpeg generator's keys format/pixels/scale/seed as a DjpegConfig
+/// (absent keys take DjpegConfig's defaults). Throws SimError on an
+/// unknown format or an out-of-range size. Also how the Figs. 8/9 report
+/// views read a point's format and size back from its canonical spec.
+DjpegConfig djpeg_config_from_spec(const WorkloadSpec& spec);
 
 }  // namespace sempe::workloads

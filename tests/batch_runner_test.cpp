@@ -4,16 +4,13 @@
 #include <vector>
 
 #include "sim/batch_runner.h"
-#include "sim/simulator.h"
 #include "util/check.h"
-#include "workloads/microbench.h"
 
 namespace sempe {
 namespace {
 
 using sim::BatchCli;
 using sim::MicrobenchJob;
-using sim::MicrobenchOptions;
 using sim::MicrobenchPoint;
 using workloads::Kind;
 
@@ -89,24 +86,22 @@ TEST(BatchCli, BareJsonMeansStdout) {
 
 // Fast sweep used by the determinism checks.
 std::vector<MicrobenchJob> small_grid() {
-  MicrobenchOptions opt;
-  opt.iterations = 4;
-  return sim::microbench_grid({Kind::kOnes, Kind::kFibonacci}, {1, 2}, opt);
+  return sim::microbench_grid({Kind::kOnes, Kind::kFibonacci}, {1, 2}, 4, {});
 }
 
 TEST(BatchRunner, JsonIsByteIdenticalAcrossThreadCounts) {
   const auto jobs = small_grid();
-  const auto p1 = sim::run_microbench_sweep(jobs, with_threads(1)).points;
-  const auto p2 = sim::run_microbench_sweep(jobs, with_threads(2)).points;
-  const auto p8 = sim::run_microbench_sweep(jobs, with_threads(8)).points;
-  const std::string j1 = sim::microbench_json("determinism", jobs, p1);
-  const std::string j2 = sim::microbench_json("determinism", jobs, p2);
-  const std::string j8 = sim::microbench_json("determinism", jobs, p8);
+  const auto r1 = sim::run_microbench_sweep(jobs, with_threads(1));
+  const std::string j1 = sim::microbench_json("determinism", jobs, r1);
+  const std::string j2 = sim::microbench_json(
+      "determinism", jobs, sim::run_microbench_sweep(jobs, with_threads(2)));
+  const std::string j8 = sim::microbench_json(
+      "determinism", jobs, sim::run_microbench_sweep(jobs, with_threads(8)));
   EXPECT_FALSE(j1.empty());
   EXPECT_EQ(j1, j2);
   EXPECT_EQ(j1, j8);
   // Sanity: results are real, not all-zero placeholders.
-  for (const MicrobenchPoint& p : p1) {
+  for (const MicrobenchPoint& p : r1.points) {
     EXPECT_GT(p.baseline_cycles, 0u);
     EXPECT_GT(p.sempe_cycles, 0u);
   }
@@ -114,8 +109,8 @@ TEST(BatchRunner, JsonIsByteIdenticalAcrossThreadCounts) {
 
 TEST(BatchRunner, JsonOpensWithMetadataHeader) {
   const auto jobs = small_grid();
-  const auto points = sim::run_microbench_sweep(jobs, with_threads(2)).points;
-  const std::string j = sim::microbench_json("header", jobs, points);
+  const std::string j = sim::microbench_json(
+      "header", jobs, sim::run_microbench_sweep(jobs, with_threads(2)));
   // The meta object precedes the points array and carries the schema
   // version, experiment name, workload description, and mode list. The
   // threads field is the constant 0 (thread-count invariant) — a real
@@ -157,35 +152,29 @@ TEST(BatchRunner, WorkloadJsonByteIdenticalAcrossThreadCountsInclHeader) {
   }
 }
 
-TEST(BatchRunner, IdealStandaloneIsWidthPlusOneTimesSingleRun) {
-  // The invariant from sim/experiment.cpp: ideal_standalone = (W+1) * t1,
-  // where t1 is the legacy-mode run of the width-0 (single workload)
-  // build. Recompute t1 independently and compare.
-  MicrobenchOptions opt;
-  opt.iterations = 4;
-  const usize width = 3;
+TEST(BatchRunner, IdealsAreTheirDefiningWorkloadRuns) {
+  // The two ideal definitions of sim/experiment.h, pinned against
+  // measure_workload: combined = the baseline of the same spec with every
+  // secret true; standalone = (W+1) x the baseline of the width-0 spec.
+  const usize w = 3;
   const MicrobenchPoint pt =
-      sim::measure_microbench(Kind::kOnes, width, opt);
-
-  workloads::MicrobenchConfig single;
-  single.kind = Kind::kOnes;
-  single.width = 0;
-  single.iterations = opt.iterations;
-  single.size = opt.size;
-  single.input_seed = opt.input_seed;
-  single.variant = workloads::Variant::kSecure;
-  const auto built = build_microbench(single);
-
-  sim::RunConfig rc;
-  rc.core.mode = cpu::ExecMode::kLegacy;
-  rc.record_observations = false;
-  rc.core.snapshot_model = opt.snapshot_model;
-  rc.pipe.spm_bytes_per_cycle = opt.spm_bytes_per_cycle;
-  rc.pipe.memory.enable_prefetchers = opt.enable_prefetchers;
-  const Cycle t1 = sim::run(built.program, rc).cycles();
-
+      sim::measure_microbench(sim::microbench_spec(Kind::kOnes, w, 4));
+  const auto baseline = [](const char* spec) {
+    return sim::measure_workload(spec).baseline_cycles;
+  };
+  EXPECT_EQ(pt.ideal_combined_cycles,
+            baseline("micro.ones?width=3&iters=4&secrets=1"));
+  const Cycle t1 = baseline("micro.ones?width=0&iters=4");
   EXPECT_GT(t1, 0u);
-  EXPECT_EQ(pt.ideal_standalone_cycles, (width + 1) * t1);
+  EXPECT_EQ(pt.ideal_standalone_cycles, (w + 1) * t1);
+  // The point itself is the workload measurement of its own spec.
+  const auto plain = sim::measure_workload(pt.spec);
+  EXPECT_TRUE(pt.results_ok) << pt.mismatch_summary();
+  EXPECT_EQ(pt.baseline_cycles, plain.baseline_cycles);
+  EXPECT_EQ(pt.sempe_cycles, plain.sempe_cycles);
+  EXPECT_EQ(pt.cte_cycles, plain.cte_cycles);
+  EXPECT_EQ(pt.kind(), "ones");
+  EXPECT_EQ(pt.width(), w);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // pinned with the (machine-dependent, churn-prone) values blanked out.
 // Schema drift — a renamed field, a dropped key, a reordered header —
 // fails one of these tests instead of silently breaking downstream
-// parsers of bench_synthetic/bench_leakage/bench_scenarios --json.
+// parsers of the bench mains' --json (the figure benches included).
 //
 // The golden files live in tests/golden/. After an INTENDED schema
 // change, regenerate them with:  SEMPE_UPDATE_GOLDEN=1 ./golden_json_test
@@ -135,10 +135,10 @@ TEST(GoldenJson, BenchLintSchemaIsPinned) {
       "synthetic.stream?size=32&width=1&iters=1",
   };
   const auto jobs = lint_grid(specs, opt);
-  const auto points = run_lint_sweep(jobs, with_threads(1)).points;
-  const std::string json = lint_json("lint", jobs, points);
+  const auto run = run_lint_sweep(jobs, with_threads(1));
+  const std::string json = lint_json("lint", jobs, run);
   EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
-  for (const auto& pt : points)
+  for (const auto& pt : run.points)
     EXPECT_TRUE(pt.ok()) << pt.lint.spec << ": " << pt.failure_summary();
   check_golden("bench_lint.json.golden", normalize_points(json));
 }
@@ -150,8 +150,8 @@ TEST(GoldenJson, BenchTenantsSchemaIsPinned) {
       "attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8&iters=2",
   };
   const auto jobs = leakage_grid(specs, opt);
-  const auto points = run_leakage_sweep(jobs, with_threads(1)).points;
-  const std::string json = tenant_json("tenants", jobs, points);
+  const std::string json =
+      tenant_json("tenants", jobs, run_leakage_sweep(jobs, with_threads(1)));
   EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
   // The acceptance-gate flags CI greps for are part of the pinned schema.
   EXPECT_NE(json.find("\"legacy_recovery_above_chance\": 1"),
@@ -178,6 +178,27 @@ TEST(GoldenJson, BenchScenariosByteIdenticalAcrossThreadsAndPinned) {
       std::string::npos);
   for (const auto& pt : pts1) EXPECT_TRUE(pt.results_ok) << pt.spec;
   check_golden("bench_scenarios.json.golden", normalize_points(j1));
+}
+
+TEST(GoldenJson, MicrobenchSchemaIsPinned) {
+  // The document bench_fig10a/fig10b/table1/table2/ablation emit.
+  const auto jobs = microbench_grid(all_kinds(), {1, 2}, 2, {});
+  const std::string json = microbench_json(
+      "fig10a", jobs, run_microbench_sweep(jobs, with_threads(2)));
+  EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
+  check_golden("bench_microbench.json.golden", normalize_points(json));
+}
+
+TEST(GoldenJson, DjpegSchemaIsPinned) {
+  // The document bench_fig8/fig9 emit.
+  const auto jobs = djpeg_grid({workloads::OutputFormat::kPpm,
+                                workloads::OutputFormat::kGif,
+                                workloads::OutputFormat::kBmp},
+                               {16 * 1024}, 64);
+  const std::string json =
+      djpeg_json("fig8", jobs, run_workload_sweep(jobs, with_threads(2)));
+  EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
+  check_golden("bench_djpeg.json.golden", normalize_points(json));
 }
 
 TEST(GoldenJson, MetricsReportSchemaIsPinned) {

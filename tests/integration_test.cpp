@@ -3,29 +3,28 @@
 // machine description is consistent.
 #include <gtest/gtest.h>
 
-#include "sim/experiment.h"
+#include <cstdlib>
+#include <string>
+
+#include "sim/batch_runner.h"
 #include "sim/machine_config.h"
+#include "util/check.h"
 
 namespace sempe::sim {
 namespace {
 
 using workloads::Kind;
-using workloads::OutputFormat;
 
-MicrobenchOptions fast_opts() {
-  MicrobenchOptions o;
-  o.iterations = 3;
-  o.size = 0;  // per-kind defaults (note: size is N for queens — keep small)
-  return o;
+/// micro.fibonacci at size 60, 4 iterations.
+std::string fib60(usize w) {
+  return "micro.fibonacci?size=60&width=" + std::to_string(w) +
+         "&iters=4&secrets=0";
 }
 
 TEST(Experiment, SempeSlowdownTracksPathCount) {
   // Fig. 10a's core shape: SeMPE slowdown ~ W+1.
-  MicrobenchOptions o;
-  o.iterations = 4;
-  o.size = 60;
   for (usize w : {usize{1}, usize{3}}) {
-    const auto pt = measure_microbench(Kind::kFibonacci, w, o);
+    const auto pt = measure_microbench(fib60(w));
     const double s = pt.sempe_slowdown();
     EXPECT_GT(s, 0.6 * static_cast<double>(w + 1)) << "W=" << w;
     EXPECT_LT(s, 2.0 * static_cast<double>(w + 1)) << "W=" << w;
@@ -35,50 +34,57 @@ TEST(Experiment, SempeSlowdownTracksPathCount) {
 TEST(Experiment, CteSlowerThanSempe) {
   // Fig. 10a: CTE (dashed) above SeMPE (solid) for every workload.
   for (Kind kd : {Kind::kOnes, Kind::kQuicksort, Kind::kQueens}) {
-    const auto pt = measure_microbench(kd, 2, fast_opts());
+    const auto pt = measure_microbench(microbench_spec(kd, 2, 3));
     EXPECT_GT(pt.cte_cycles, pt.sempe_cycles) << workloads::kind_name(kd);
   }
 }
 
 TEST(Experiment, QueensIsCtesWorstCase) {
-  const auto fib = measure_microbench(Kind::kFibonacci, 1, fast_opts());
-  const auto queens = measure_microbench(Kind::kQueens, 1, fast_opts());
+  const auto fib = measure_microbench(microbench_spec(Kind::kFibonacci, 1, 3));
+  const auto queens = measure_microbench(microbench_spec(Kind::kQueens, 1, 3));
   EXPECT_GT(queens.cte_vs_sempe(), fib.cte_vs_sempe());
 }
 
 TEST(Experiment, SempeNearIdeal) {
   // Fig. 10b: SeMPE over the combined ideal stays close to 1.
-  MicrobenchOptions o;
-  o.iterations = 4;
-  o.size = 60;
-  const auto pt = measure_microbench(Kind::kFibonacci, 3, o);
+  const auto pt = measure_microbench(fib60(3));
   EXPECT_GT(pt.sempe_vs_ideal_combined(), 0.9);
   EXPECT_LT(pt.sempe_vs_ideal_combined(), 1.8);
 }
 
 TEST(Experiment, BaselineCheaperThanEverything) {
-  const auto pt = measure_microbench(Kind::kOnes, 2, fast_opts());
+  const auto pt = measure_microbench(microbench_spec(Kind::kOnes, 2, 3));
   EXPECT_LT(pt.baseline_cycles, pt.sempe_cycles);
   EXPECT_LT(pt.baseline_cycles, pt.cte_cycles);
   EXPECT_LT(pt.baseline_cycles, pt.ideal_combined_cycles);
 }
 
+/// One Fig. 8 cell, measured as a workload-family djpeg spec.
+WorkloadPoint djpeg(const char* format, usize pixels) {
+  return measure_workload(std::string("djpeg?format=") + format +
+                          "&pixels=" + std::to_string(pixels) + "&scale=8");
+}
+
+double overhead(const WorkloadPoint& p) { return p.sempe_slowdown() - 1.0; }
+
 TEST(Experiment, DjpegOverheadOrderingMatchesFigure8) {
   // PPM has the largest secure-region share -> largest overhead.
   const usize px = 32 * 1024;
-  const auto ppm = measure_djpeg(OutputFormat::kPpm, px, 8);
-  const auto gif = measure_djpeg(OutputFormat::kGif, px, 8);
-  const auto bmp = measure_djpeg(OutputFormat::kBmp, px, 8);
-  EXPECT_GT(ppm.overhead(), gif.overhead());
-  EXPECT_GT(gif.overhead(), bmp.overhead());
-  EXPECT_LT(ppm.overhead(), 1.5);
-  EXPECT_GT(bmp.overhead(), 0.05);
+  const auto ppm = djpeg("ppm", px);
+  const auto gif = djpeg("gif", px);
+  const auto bmp = djpeg("bmp", px);
+  for (const auto* p : {&ppm, &gif, &bmp})
+    EXPECT_TRUE(p->results_ok) << p->spec << ": " << p->mismatch_summary();
+  EXPECT_GT(overhead(ppm), overhead(gif));
+  EXPECT_GT(overhead(gif), overhead(bmp));
+  EXPECT_LT(overhead(ppm), 1.5);
+  EXPECT_GT(overhead(bmp), 0.05);
 }
 
 TEST(Experiment, DjpegOverheadStableAcrossImageSizes) {
-  const auto small = measure_djpeg(OutputFormat::kGif, 16 * 1024, 8);
-  const auto large = measure_djpeg(OutputFormat::kGif, 64 * 1024, 8);
-  EXPECT_NEAR(small.overhead(), large.overhead(), 0.10);
+  const auto small = djpeg("gif", 16 * 1024);
+  const auto large = djpeg("gif", 64 * 1024);
+  EXPECT_NEAR(overhead(small), overhead(large), 0.10);
 }
 
 TEST(MachineConfig, DescribesTable2) {
@@ -106,6 +112,32 @@ TEST(MachineConfig, Table2Values) {
 
 TEST(EnvKnobs, ParseAndFallback) {
   EXPECT_EQ(env_usize("SEMPE_SURELY_UNSET_VAR", 17), 17u);
+}
+
+TEST(EnvKnobs, StrictDecimalOrSimError) {
+  const char* const var = "SEMPE_ENV_KNOB_TEST";
+  const auto with = [&](const char* value) {
+    ::setenv(var, value, 1);
+    return env_usize(var, 20);
+  };
+  // Empty and 0 keep meaning "default" (SEMPE_STAT_SAMPLES defaults to 0).
+  EXPECT_EQ(with(""), 20u);
+  EXPECT_EQ(with("0"), 20u);
+  EXPECT_EQ(with("2"), 2u);
+  EXPECT_EQ(with("18446744073709551615"), 18446744073709551615ull);
+  // Junk, signs, blanks and overflow throw, naming variable and value.
+  for (const char* bad : {"2x", "abc", "-3", "+3", " 3", "18446744073709551616",
+                          "99999999999999999999"}) {
+    try {
+      with(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string(var) + "='" + bad + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ::unsetenv(var);
 }
 
 }  // namespace

@@ -30,7 +30,6 @@ namespace fs = std::filesystem;
 using sim::BatchCli;
 using sim::JobIdentity;
 using sim::MicrobenchJob;
-using sim::MicrobenchOptions;
 using sim::SweepCache;
 using sim::SweepJournal;
 using sim::SweepOptions;
@@ -71,21 +70,19 @@ TEST(JobKey, PermutedSpecParamsShareOneKey) {
   EXPECT_EQ(sim::job_cache_key(a, "fp"), sim::job_cache_key(b, "fp"));
 }
 
-TEST(JobKey, LabelIsCosmetic) {
-  MicrobenchJob a;
-  a.label = "one";
-  a.kind = Kind::kOnes;
-  a.width = 2;
-  MicrobenchJob b = a;
-  b.label = "two";
-  EXPECT_EQ(sim::job_cache_key(a, "fp"), sim::job_cache_key(b, "fp"));
+/// A microbench job over `spec` with default machine knobs.
+MicrobenchJob micro_job(const std::string& spec) {
+  MicrobenchJob j;
+  j.label = spec;
+  j.spec = spec;
+  return j;
 }
 
 TEST(JobKey, EveryIdentityFieldChangesTheKey) {
   const JobIdentity base{"microbench", "ones?width=2", "spm=64", "legacy,sempe",
                          1, "fp"};
   std::vector<JobIdentity> variants(6, base);
-  variants[0].family = "djpeg";
+  variants[0].family = "workload";
   variants[1].spec = "ones?width=3";
   variants[2].machine = "spm=128";
   variants[3].modes = "legacy,sempe,cte";
@@ -99,41 +96,47 @@ TEST(JobKey, EveryIdentityFieldChangesTheKey) {
   EXPECT_EQ(keys.size(), 7u);  // all pairwise distinct, too
 }
 
-TEST(JobKey, MachineKnobsAndGridCoordinatesChangeTheKey) {
-  MicrobenchJob base;
-  base.kind = Kind::kOnes;
-  base.width = 2;
+TEST(JobKey, MicrobenchSpecAndMachineKnobsChangeTheKey) {
+  const std::string spec =
+      "micro.ones?size=16&width=2&iters=2&secrets=0&seed=42";
+  const MicrobenchJob base = micro_job(spec);
   const std::string k0 = sim::job_cache_key(base, "fp");
 
-  MicrobenchJob v = base;
-  v.kind = Kind::kFibonacci;
-  EXPECT_NE(sim::job_cache_key(v, "fp"), k0);
-  v = base;
-  v.width = 3;
-  EXPECT_NE(sim::job_cache_key(v, "fp"), k0);
-  v = base;
-  v.opt.spm_bytes_per_cycle *= 2;
-  EXPECT_NE(sim::job_cache_key(v, "fp"), k0);
-  v = base;
-  v.opt.enable_prefetchers = !v.opt.enable_prefetchers;
-  EXPECT_NE(sim::job_cache_key(v, "fp"), k0);
-  v = base;
-  v.opt.iterations += 1;  // microbench results DO depend on iterations
-  EXPECT_NE(sim::job_cache_key(v, "fp"), k0);
+  // Every grid coordinate the spec carries: kind, width, iters, size, seed.
+  for (const char* other :
+       {"micro.fibonacci?size=16&width=2&iters=2&secrets=0&seed=42",
+        "micro.ones?size=16&width=3&iters=2&secrets=0&seed=42",
+        "micro.ones?size=16&width=2&iters=3&secrets=0&seed=42",
+        "micro.ones?size=17&width=2&iters=2&secrets=0&seed=42",
+        "micro.ones?size=16&width=2&iters=2&secrets=0&seed=43"})
+    EXPECT_NE(sim::job_cache_key(micro_job(other), "fp"), k0) << other;
+
+  // Every machine knob.
+  std::vector<MicrobenchJob> knobs(5, base);
+  knobs[0].opt.snapshot_model = cpu::SnapshotModel::kPhyRS;
+  knobs[1].opt.spm_bytes_per_cycle *= 2;
+  knobs[2].opt.enable_prefetchers = !knobs[2].opt.enable_prefetchers;
+  knobs[3].opt.extra_front_end_depth += 1;
+  knobs[4].opt.rename_width_override = 4;
+  for (usize i = 0; i < knobs.size(); ++i)
+    EXPECT_NE(sim::job_cache_key(knobs[i], "fp"), k0) << "knob " << i;
   EXPECT_NE(sim::job_cache_key(base, "fp2"), k0);
+
+  // Label and parameter order are cosmetic.
+  MicrobenchJob v = micro_job(
+      "micro.ones?seed=42&secrets=0&iters=2&width=2&size=16");
+  v.label = "another label";
+  EXPECT_EQ(sim::job_cache_key(v, "fp"), k0);
+
+  // The ideal runs make a microbench point a different result than the
+  // workload point of the same spec: the two families never share a key.
+  sim::WorkloadJob w;
+  w.spec = spec;
+  EXPECT_NE(sim::job_cache_key(w, "fp"), k0);
 }
 
 TEST(JobKey, OptionsTheMeasurementIgnoresAreExcluded) {
-  // measure_workload ignores iterations/size/input_seed (the spec carries
-  // them); AuditOptions::progress only steers stderr.
-  sim::WorkloadJob w;
-  w.spec = "synthetic.cond_branch?width=2";
-  sim::WorkloadJob w2 = w;
-  w2.opt.iterations += 7;
-  w2.opt.size = 12345;
-  w2.opt.input_seed = 99;
-  EXPECT_EQ(sim::job_cache_key(w, "fp"), sim::job_cache_key(w2, "fp"));
-
+  // AuditOptions::progress only steers stderr.
   sim::LeakageJob l;
   l.spec = "synthetic.cond_branch?width=2";
   sim::LeakageJob l2 = l;
@@ -229,10 +232,8 @@ TEST(JobKey, AttackLeakageJobKeyCoversEveryExperimentCoordinate) {
 }
 
 TEST(JobKey, KeyIsSixteenHexDigits) {
-  MicrobenchJob j;
-  j.kind = Kind::kOnes;
-  j.width = 1;
-  const std::string k = sim::job_cache_key(j, "fp");
+  const std::string k =
+      sim::job_cache_key(micro_job("micro.ones?width=1&secrets=0"), "fp");
   ASSERT_EQ(k.size(), 16u);
   for (const char c : k)
     EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << k;
@@ -293,15 +294,40 @@ TEST_F(SweepStoreTest, JournalReplaysItsPrefixAndDetectsTruncation) {
 // points feed the byte-identity contract.
 
 TEST(SweepCodec, MicrobenchRoundTripIsExact) {
-  MicrobenchOptions opt;
-  opt.iterations = 2;
-  const auto pt = sim::measure_microbench(Kind::kFibonacci, 2, opt);
+  const auto pt =
+      sim::measure_microbench(sim::microbench_spec(Kind::kFibonacci, 2, 2));
+  EXPECT_GT(pt.ideal_combined_cycles, 0u);
+  EXPECT_GT(pt.ideal_standalone_cycles, 0u);
   const std::string blob = sim::encode_point(pt);
   const auto back = sim::decode_microbench_point(blob);
   EXPECT_EQ(sim::encode_point(back), blob);
+  EXPECT_EQ(back.spec, pt.spec);
   EXPECT_EQ(back.sempe_cycles, pt.sempe_cycles);
-  EXPECT_EQ(back.width, pt.width);
-  EXPECT_EQ(back.kind, pt.kind);
+  EXPECT_EQ(back.cte_instructions, pt.cte_instructions);
+  EXPECT_EQ(back.ideal_combined_cycles, pt.ideal_combined_cycles);
+  EXPECT_EQ(back.ideal_standalone_cycles, pt.ideal_standalone_cycles);
+  EXPECT_EQ(back.checks.size(), pt.checks.size());
+  EXPECT_EQ(back.width(), 2u);
+  EXPECT_EQ(back.kind(), "fibonacci");
+}
+
+TEST(SweepCodec, WorkloadMissRatesRoundTripBitExactly) {
+  // Fig. 9 prints the miss rates from (possibly cached) workload points,
+  // so the f64s must survive the hexfloat codec to the last ulp.
+  const auto pt =
+      sim::measure_workload("djpeg?format=gif&pixels=16384&scale=64");
+  EXPECT_GT(pt.baseline_miss.dl1, 0.0);
+  EXPECT_GT(pt.sempe_miss.il1, 0.0);
+  const std::string blob = sim::encode_point(pt);
+  const auto back = sim::decode_workload_point(blob);
+  EXPECT_EQ(sim::encode_point(back), blob);
+  for (const auto& [got, want] :
+       {std::pair{&back.baseline_miss, &pt.baseline_miss},
+        std::pair{&back.sempe_miss, &pt.sempe_miss}}) {
+    EXPECT_EQ(got->il1, want->il1);
+    EXPECT_EQ(got->dl1, want->dl1);
+    EXPECT_EQ(got->l2, want->l2);
+  }
 }
 
 TEST(SweepCodec, LeakageRoundTripPreservesTheFullAudit) {
@@ -387,28 +413,47 @@ TEST(SweepCodec, AttackRoundTripPreservesKeyRecoveryBitExactly) {
 TEST(SweepCodec, CorruptBlobsThrow) {
   EXPECT_THROW(sim::decode_microbench_point(""), SimError);
   EXPECT_THROW(sim::decode_microbench_point("not a point blob\n"), SimError);
-  // A valid header of the wrong family must fail loudly, not mis-decode.
-  MicrobenchOptions opt;
-  opt.iterations = 1;
-  const auto pt = sim::measure_microbench(Kind::kOnes, 1, opt);
-  EXPECT_THROW(sim::decode_djpeg_point(sim::encode_point(pt)), SimError);
+  // A valid header of the wrong family must fail loudly, not mis-decode:
+  // a microbench blob is a workload blob plus the ideals, under its own
+  // family name.
+  const auto pt =
+      sim::measure_microbench(sim::microbench_spec(Kind::kOnes, 1, 1));
+  const sim::WorkloadPoint& as_workload = pt;
+  EXPECT_THROW(sim::decode_workload_point(sim::encode_point(pt)), SimError);
+  EXPECT_THROW(sim::decode_microbench_point(sim::encode_point(as_workload)),
+               SimError);
 }
 
 // ---------------------------------------------------------------------------
 // Orchestrated sweeps: cache temperature, resume, shards.
 
 std::vector<MicrobenchJob> small_grid() {
-  MicrobenchOptions opt;
-  opt.iterations = 2;
-  return sim::microbench_grid({Kind::kOnes, Kind::kFibonacci}, {1, 2}, opt);
+  return sim::microbench_grid({Kind::kOnes, Kind::kFibonacci}, {1, 2}, 2, {});
+}
+
+/// The --json document of `jobs` swept with `opt`.
+std::string sweep_json(const std::vector<MicrobenchJob>& jobs,
+                       const SweepOptions& opt = {}) {
+  return sim::microbench_json("orch", jobs,
+                              sim::run_microbench_sweep(jobs, opt));
+}
+
+/// The three shard documents of a 3-way split of `jobs`.
+std::vector<std::string> shard_docs(const std::vector<MicrobenchJob>& jobs) {
+  std::vector<std::string> docs;
+  for (usize s = 0; s < 3; ++s) {
+    SweepOptions opt;
+    opt.shard = {s, 3};
+    docs.push_back(sweep_json(jobs, opt));
+  }
+  return docs;
 }
 
 class SweepOrchestrationTest : public TempDirTest {};
 
 TEST_F(SweepOrchestrationTest, WarmCacheIsByteIdenticalAndCounted) {
   const auto jobs = small_grid();
-  const std::string plain =
-      sim::microbench_json("orch", jobs, sim::run_microbench_sweep(jobs, {}));
+  const std::string plain = sweep_json(jobs);
 
   SweepOptions opt;
   opt.threads = 2;
@@ -459,8 +504,7 @@ TEST_F(SweepOrchestrationTest, StaleFingerprintEntriesAreReExecuted) {
 
 TEST_F(SweepOrchestrationTest, ResumeAfterKilledJournalIsByteIdentical) {
   const auto jobs = small_grid();
-  const std::string fresh =
-      sim::microbench_json("orch", jobs, sim::run_microbench_sweep(jobs, {}));
+  const std::string fresh = sweep_json(jobs);
 
   SweepOptions opt;
   opt.journal_path = path("sweep.journal");
@@ -553,53 +597,32 @@ TEST(SweepShard, PartitionIsExactAndDeterministic) {
 
 TEST(SweepShard, MergedShardJsonIsByteIdenticalToUnsharded) {
   const auto jobs = small_grid();
-  const std::string full =
-      sim::microbench_json("orch", jobs, sim::run_microbench_sweep(jobs, {}));
+  const std::string full = sweep_json(jobs);
 
-  std::vector<std::string> shard_docs;
-  for (usize s = 0; s < 3; ++s) {
-    SweepOptions opt;
-    opt.shard = {s, 3};
-    shard_docs.push_back(sim::microbench_json(
-        "orch", jobs, sim::run_microbench_sweep(jobs, opt)));
-    // Shard documents are self-describing...
-    EXPECT_NE(shard_docs.back().find("\"shard\": \"" + std::to_string(s) +
-                                     "/3\""),
+  std::vector<std::string> docs = shard_docs(jobs);
+  // Shard documents are self-describing...
+  for (usize s = 0; s < 3; ++s)
+    EXPECT_NE(docs[s].find("\"shard\": \"" + std::to_string(s) + "/3\""),
               std::string::npos);
-  }
   // ...and merge back to the exact unsharded bytes, in any input order.
-  EXPECT_EQ(sim::merge_shard_json(shard_docs), full);
-  std::swap(shard_docs[0], shard_docs[2]);
-  EXPECT_EQ(sim::merge_shard_json(shard_docs), full);
+  EXPECT_EQ(sim::merge_shard_json(docs), full);
+  std::swap(docs[0], docs[2]);
+  EXPECT_EQ(sim::merge_shard_json(docs), full);
 }
 
 TEST(SweepShard, MergeRejectsIncompleteOrMismatchedShardSets) {
   const auto jobs = small_grid();
-  std::vector<std::string> docs;
-  for (usize s = 0; s < 3; ++s) {
-    SweepOptions opt;
-    opt.shard = {s, 3};
-    docs.push_back(sim::microbench_json("orch", jobs,
-                                        sim::run_microbench_sweep(jobs, opt)));
-  }
+  const std::vector<std::string> docs = shard_docs(jobs);
   EXPECT_THROW(sim::merge_shard_json({docs[0], docs[1]}), SimError);
   EXPECT_THROW(sim::merge_shard_json({docs[0], docs[1], docs[1]}), SimError);
   EXPECT_THROW(sim::merge_shard_json({}), SimError);
   // An unsharded document is not a shard of anything.
-  const std::string full =
-      sim::microbench_json("orch", jobs, sim::run_microbench_sweep(jobs, {}));
-  EXPECT_THROW(sim::merge_shard_json({full}), SimError);
+  EXPECT_THROW(sim::merge_shard_json({sweep_json(jobs)}), SimError);
 }
 
 TEST(SweepShard, MergeRejectsNonDecimalIndexAndShardTokens) {
   const auto jobs = small_grid();
-  std::vector<std::string> docs;
-  for (usize s = 0; s < 3; ++s) {
-    SweepOptions opt;
-    opt.shard = {s, 3};
-    docs.push_back(sim::microbench_json("orch", jobs,
-                                        sim::run_microbench_sweep(jobs, opt)));
-  }
+  const std::vector<std::string> docs = shard_docs(jobs);
   ASSERT_NO_THROW(sim::merge_shard_json(docs));
   const auto with = [&](usize d, const std::string& from,
                         const std::string& to) {
@@ -681,8 +704,7 @@ TEST(BatchCliSweep, FilteredSweepJsonContainsOnlyMatchingLabels) {
   cli.jobs_regex = "ones";
   auto jobs = small_grid();
   sim::apply_job_filter(jobs, cli);
-  const std::string json =
-      sim::microbench_json("orch", jobs, sim::run_microbench_sweep(jobs, {}));
+  const std::string json = sweep_json(jobs);
   EXPECT_NE(json.find("ones"), std::string::npos);
   EXPECT_EQ(json.find("fibonacci"), std::string::npos);
 }
