@@ -19,9 +19,9 @@
 // --audit runs as a one-job sweep through sim/batch_runner.h, so it also
 // accepts the shared orchestration flags — --json[=F], --cache-dir=D,
 // --journal=F, --jobs=REGEX, --shard=i/N, --threads=N — with exactly the
-// bench_leakage semantics (a warm cache replays the stored audit; --shard
-// or --jobs may leave the single job to another invocation). The other
-// modes run one simulation directly and reject those flags.
+// `sempe_bench leakage` semantics (a warm cache replays the stored audit;
+// --shard or --jobs may leave the single job to another invocation). The
+// other modes run one simulation directly and reject those flags.
 //
 // FILE.s is assembled (see isa/assembler.h for the grammar), statically
 // verified, and run on the selected core. --workload=SPEC instead resolves
@@ -40,6 +40,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -50,6 +51,7 @@
 #include "sim/batch_runner.h"
 #include "sim/simulator.h"
 #include "sim/timeline.h"
+#include "util/decimal.h"
 #include "workloads/registry.h"
 
 using namespace sempe;
@@ -80,6 +82,21 @@ void print_usage(const char* argv0) {
                argv0, argv0, argv0, argv0, argv0, argv0);
   for (const std::string& n : workloads::WorkloadRegistry::instance().names())
     std::fprintf(stderr, "  %s\n", n.c_str());
+}
+
+int bad_argument(const char* argv0, const char* arg) {
+  std::fprintf(stderr, "bad argument '%s'\n", arg);
+  print_usage(argv0);
+  return 1;
+}
+
+/// The N of a numeric --flag=N into *out; false unless N is plain
+/// decimal digits (parse_decimal).
+template <typename T>
+bool parse_count(const char* text, T* out) {
+  const std::optional<u64> n = parse_decimal(text);
+  if (n) *out = static_cast<T>(*n);
+  return n.has_value();
 }
 
 int list_workloads() {
@@ -173,8 +190,8 @@ int run_audit(const std::string& spec_text, const security::AuditOptions& base,
   bool ok = true;
   for (const auto& pt : run.points) {
     std::printf("%s", pt.audit.to_string().c_str());
-    // Gate on the results of EVERY mode, like bench_leakage: a legacy/CTE
-    // run that went functionally wrong must not exit clean.
+    // Gate on the results of EVERY mode, like `sempe_bench leakage`: a
+    // legacy/CTE run that went functionally wrong must not exit clean.
     const bool results_ok = pt.results_ok();
     const bool point_ok = pt.sempe_closed() && results_ok;
     std::printf("verdict: %s\n",
@@ -196,9 +213,9 @@ int run_audit(const std::string& spec_text, const security::AuditOptions& base,
 int run_lint(const std::string& spec_text) {
   const security::WorkloadLint lint = security::lint_workload(spec_text);
   std::printf("%s\n", lint.to_string().c_str());
-  // Gate like bench_lint's per-workload half: the CTE binary must lint
-  // fully clean, and a secret-bearing natural binary the legacy policy
-  // calls clean would mean the lint lost the taint.
+  // Gate like the per-workload half of `sempe_bench lint`: the CTE binary
+  // must lint fully clean, and a secret-bearing natural binary the legacy
+  // policy calls clean would mean the lint lost the taint.
   bool ok = true;
   if (lint.has_cte && !lint.cte.clean()) ok = false;
   if (lint.secret_width > 0 && lint.natural_legacy.clean()) ok = false;
@@ -258,11 +275,7 @@ int main(int argc, char** argv) {
   // --help) are stripped out of argv by the batch-runner parser; the loop
   // below owns only the sempe_run-specific flags.
   const sim::BatchCli cli = sim::parse_batch_cli(argc, argv);
-  if (!cli.ok) {
-    std::fprintf(stderr, "bad argument '%s'\n", cli.error.c_str());
-    print_usage(argv[0]);
-    return 1;
-  }
+  if (!cli.ok) return bad_argument(argv[0], cli.error.c_str());
   if (cli.help) {
     print_usage(argv[0]);
     return 0;
@@ -289,19 +302,19 @@ int main(int argc, char** argv) {
     else if (!std::strncmp(a, "--audit=", 8)) audit = a + 8;
     else if (!std::strncmp(a, "--lint=", 7)) lint = a + 7;
     else if (!std::strncmp(a, "--samples=", 10)) {
-      audit_opt.samples =
-          static_cast<usize>(std::strtoull(a + 10, nullptr, 10));
+      if (!parse_count(a + 10, &audit_opt.samples))
+        return bad_argument(argv[0], a);
       samples_set = true;
     } else if (!std::strncmp(a, "--seed=", 7)) {
-      audit_opt.seed = std::strtoull(a + 7, nullptr, 10);
+      if (!parse_count(a + 7, &audit_opt.seed)) return bad_argument(argv[0], a);
       seed_set = true;
     } else if (!std::strncmp(a, "--stat-samples=", 15)) {
-      audit_opt.stat_samples =
-          static_cast<usize>(std::strtoull(a + 15, nullptr, 10));
+      if (!parse_count(a + 15, &audit_opt.stat_samples))
+        return bad_argument(argv[0], a);
       stat_set = true;
     } else if (!std::strncmp(a, "--stat-budget=", 14)) {
-      audit_opt.stat_budget =
-          static_cast<usize>(std::strtoull(a + 14, nullptr, 10));
+      if (!parse_count(a + 14, &audit_opt.stat_budget))
+        return bad_argument(argv[0], a);
       stat_set = true;
     } else if (!std::strncmp(a, "--confidence=", 13)) {
       audit_opt.confidence = std::strtod(a + 13, nullptr);

@@ -18,7 +18,7 @@
 //                byte-identity is preserved by construction.
 //
 // Instrumentation sites reach the active session through session(), a
-// process-global installed by the driver that owns it (bench mains,
+// process-global installed by the driver that owns it (sempe_bench,
 // sempe_run). A null session costs each site one pointer test; the
 // pipeline hot loop pays nothing at all (the histogram hook is compiled
 // out, see pipeline::Pipeline::process_impl).

@@ -4,9 +4,10 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <string_view>
 
 // GCC 12's -O2 -fsanitize=address build reports -Wmaybe-uninitialized
 // inside libstdc++'s own std::regex templates (a false positive in the
@@ -20,6 +21,7 @@
 #include "sim/job_key.h"
 #include "sim/sweep_codec.h"
 #include "util/check.h"
+#include "util/decimal.h"
 #include "util/fingerprint.h"
 #include "workloads/attack.h"
 
@@ -720,13 +722,12 @@ BatchCli parse_batch_cli(int& argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (!std::strncmp(a, "--threads=", 10)) {
-      char* end = nullptr;
-      const long long n = std::strtoll(a + 10, &end, 10);
-      if (n < 0 || end == a + 10 || *end != '\0') {
+      const std::optional<u64> n = parse_decimal(a + 10);
+      if (!n) {
         cli.ok = false;
         cli.error = a;
       } else {
-        cli.threads = static_cast<usize>(n);
+        cli.threads = static_cast<usize>(*n);
       }
     } else if (!std::strcmp(a, "--json")) {
       cli.want_json = true;
@@ -748,21 +749,19 @@ BatchCli parse_batch_cli(int& argc, char** argv) {
     } else if (!std::strcmp(a, "--progress")) {
       cli.progress = true;
     } else if (!std::strncmp(a, "--shard=", 8)) {
-      char* end = nullptr;
-      const unsigned long long idx = std::strtoull(a + 8, &end, 10);
-      bool good = end != a + 8 && *end == '/';
-      unsigned long long count = 0;
-      if (good) {
-        const char* p = end + 1;
-        count = std::strtoull(p, &end, 10);
-        good = end != p && *end == '\0' && count >= 1 && idx < count;
-      }
-      if (!good) {
+      const std::string_view spec(a + 8);
+      const usize slash = spec.find('/');
+      const std::optional<u64> idx = parse_decimal(spec.substr(0, slash));
+      const std::optional<u64> count =
+          slash == std::string_view::npos
+              ? std::nullopt
+              : parse_decimal(spec.substr(slash + 1));
+      if (!idx || !count || *idx >= *count) {
         cli.ok = false;
         cli.error = a;
       } else {
-        cli.shard_index = static_cast<usize>(idx);
-        cli.shard_count = static_cast<usize>(count);
+        cli.shard_index = static_cast<usize>(*idx);
+        cli.shard_count = static_cast<usize>(*count);
       }
     } else if (!std::strncmp(a, "--cache-dir=", 12)) {
       cli.cache_dir = a + 12;
@@ -803,18 +802,6 @@ BatchCli parse_batch_cli(int& argc, char** argv) {
   return cli;
 }
 
-bool batch_cli_should_exit(const BatchCli& cli, int argc, char** argv,
-                           const char* what, int* exit_code) {
-  if (cli.ok && !cli.help && argc <= 1) return false;
-  if (!cli.ok)
-    std::fprintf(stderr, "bad argument: %s\n", cli.error.c_str());
-  else if (argc > 1)
-    std::fprintf(stderr, "unknown argument: %s\n", argv[1]);
-  print_batch_usage(argv[0], what);
-  *exit_code = (!cli.ok || argc > 1) ? 1 : 0;
-  return true;
-}
-
 SweepOptions sweep_options(const BatchCli& cli) {
   SweepOptions opt;
   opt.threads = cli.threads;
@@ -823,10 +810,6 @@ SweepOptions sweep_options(const BatchCli& cli) {
   opt.cache_dir = cli.cache_dir;
   opt.journal_path = cli.journal_path;
   return opt;
-}
-
-std::FILE* report_stream(const BatchCli& cli) {
-  return cli.want_json && cli.json_path.empty() ? stderr : stdout;
 }
 
 namespace {
@@ -865,25 +848,6 @@ bool emit_json(const BatchCli& cli, const std::string& json) {
   return write_text_file(cli.json_path, json);
 }
 
-std::unique_ptr<obs::Session> make_obs_session(const BatchCli& cli) {
-  obs::Session::Options opt;
-  opt.metrics = !cli.metrics_path.empty();
-  opt.trace = !cli.trace_path.empty();
-  opt.progress = cli.progress;
-  if (!opt.metrics && !opt.trace && !opt.progress) return nullptr;
-  auto session = std::make_unique<obs::Session>(opt);
-  obs::set_session(session.get());
-  return session;
-}
-
-bool finish_obs_session(const BatchCli& cli, const std::string& experiment,
-                        std::unique_ptr<obs::Session> session) {
-  obs::set_session(nullptr);
-  if (session == nullptr) return true;
-  return write_obs_outputs(*session, experiment, cli.trace_path,
-                           cli.metrics_path);
-}
-
 bool write_obs_outputs(obs::Session& session, const std::string& experiment,
                        const std::string& trace_path,
                        const std::string& metrics_path) {
@@ -899,38 +863,6 @@ bool write_obs_outputs(obs::Session& session, const std::string& experiment,
                          obs::render_report(experiment, session)) &&
          ok;
   return ok;
-}
-
-void print_batch_usage(const char* argv0, const char* what) {
-  std::fprintf(stderr,
-               "%s — %s\n"
-               "usage: %s [--threads=N] [--json[=FILE]]\n"
-               "          [--trace-out=FILE] [--metrics-out=FILE] "
-               "[--progress]\n"
-               "          [--jobs=REGEX] [--shard=i/N] [--cache-dir=DIR] "
-               "[--journal=FILE]\n"
-               "  --threads=N      worker threads for the experiment sweep\n"
-               "                   (default: all hardware threads)\n"
-               "  --json[=F]       emit deterministic machine-readable\n"
-               "                   results to FILE (default: stdout)\n"
-               "  --trace-out=F    write a Chrome trace-event timeline of\n"
-               "                   the sweep (chrome://tracing, Perfetto)\n"
-               "  --metrics-out=F  write the structured metric report\n"
-               "                   (counters, gauges, histograms, timers)\n"
-               "  --progress       stderr progress meter (done/total, ETA,\n"
-               "                   worker utilization)\n"
-               "  --jobs=REGEX     run only jobs whose label matches REGEX\n"
-               "  --shard=i/N      run shard i of N (merge the N --json\n"
-               "                   docs back together with sempe_merge)\n"
-               "  --cache-dir=D    reuse results cached under D; store\n"
-               "                   fresh ones (content-addressed, safe\n"
-               "                   across concurrent sweeps)\n"
-               "  --journal=F      append each result to F as it retires;\n"
-               "                   rerunning with the same F resumes a\n"
-               "                   killed sweep\n"
-               "env: SEMPE_BENCH_ITERS, SEMPE_DJPEG_SCALE scale the "
-               "workloads\n",
-               argv0, what, argv0);
 }
 
 }  // namespace sempe::sim

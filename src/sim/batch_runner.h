@@ -18,8 +18,8 @@
 //   lint        the static lint checked against the audit — lint
 // djpeg_json and tenant_json are report views, not families.
 //
-// The bench_* binaries all dispatch their sweeps through this driver and
-// share the same CLI surface:
+// The sempe_bench reports (bench/sempe_bench.cpp) all dispatch their sweeps
+// through this driver and share the same CLI surface:
 //
 //   --threads=N      worker threads (default: all hardware threads)
 //   --json[=F]       emit machine-readable results to file F (or stdout)
@@ -32,8 +32,8 @@
 //   --journal=F      append-only result journal; rerun to resume a
 //                    killed sweep
 //
-// The observability flags feed the src/obs/ session the mains install via
-// make_obs_session(); none of them perturb the deterministic --json
+// The observability flags feed the src/obs/ session the driver installs
+// around each sweep; none of them perturb the deterministic --json
 // document (progress and the human report go to stderr, metrics and
 // traces to their own files).
 //
@@ -249,8 +249,8 @@ SweepRun<LintPoint> run_lint_sweep(const std::vector<LintJob>& jobs,
 
 /// Map a sweep's points back onto the full job grid: result[g] is the
 /// point of job g, or nullptr when job g was not part of this run
-/// (owned by another shard). For index-structured human reports
-/// (bench_ablation, bench_fig10b) that address points by grid position.
+/// (owned by another shard). For index-structured human reports (the
+/// ablation report) that address points by grid position.
 template <typename Point>
 std::vector<const Point*> points_by_job(const SweepRun<Point>& run) {
   std::vector<const Point*> by_job(run.total_jobs, nullptr);
@@ -359,14 +359,10 @@ struct BatchCli {
 
 /// Strip the flags this driver owns (--threads=N, --json[=F], --help) out
 /// of argv, compacting argc. Anything left besides argv[0] is the caller's
-/// problem (the bench mains treat leftovers as a usage error).
+/// problem (sempe_bench takes the first leftover as its report name and
+/// treats any other as a usage error). Numeric values must be plain
+/// decimal digits (parse_decimal).
 BatchCli parse_batch_cli(int& argc, char** argv);
-
-/// Handle --help and argument errors for a bench main: prints the
-/// diagnostic/usage and returns true with *exit_code set when main should
-/// return immediately.
-bool batch_cli_should_exit(const BatchCli& cli, int argc, char** argv,
-                           const char* what, int* exit_code);
 
 /// The SweepOptions the CLI flags ask for (threads, shard, cache,
 /// journal; fingerprint left at the build default).
@@ -390,34 +386,15 @@ void apply_job_filter(std::vector<Job>& jobs, const BatchCli& cli) {
              jobs.end());
 }
 
-/// Stream for the human-readable report: stderr when the JSON goes to
-/// stdout (bare --json), so `bench --json | jq .` stays parseable; stdout
-/// otherwise.
-std::FILE* report_stream(const BatchCli& cli);
-
 /// Write `json` to cli.json_path (stdout when empty). Returns false and
 /// prints a diagnostic on I/O failure.
 bool emit_json(const BatchCli& cli, const std::string& json);
 
-/// Build the observability session the CLI flags ask for and install it
-/// as the process-global (obs::set_session). Returns nullptr — and
-/// installs nothing — when no observability flag was given, so the
-/// unobserved sweep path is byte-for-byte the pre-observability code.
-std::unique_ptr<obs::Session> make_obs_session(const BatchCli& cli);
-
-/// Uninstall the global session and write the --trace-out /
-/// --metrics-out files. A null session is a no-op returning true;
-/// otherwise returns false (with a stderr diagnostic) on I/O failure.
-bool finish_obs_session(const BatchCli& cli, const std::string& experiment,
-                        std::unique_ptr<obs::Session> session);
-
 /// Serialize and write a session's outputs (either path may be empty =
-/// skip). Shared by finish_obs_session and the sempe_run driver.
+/// skip). Shared by the sempe_bench and sempe_run drivers. Returns false
+/// (with a stderr diagnostic) on I/O failure.
 bool write_obs_outputs(obs::Session& session, const std::string& experiment,
                        const std::string& trace_path,
                        const std::string& metrics_path);
-
-/// Print the shared usage text for a bench binary.
-void print_batch_usage(const char* argv0, const char* what);
 
 }  // namespace sempe::sim

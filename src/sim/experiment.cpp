@@ -1,9 +1,10 @@
 #include "sim/experiment.h"
 
 #include <cstdlib>
-#include <limits>
+#include <optional>
 
 #include "util/check.h"
+#include "util/decimal.h"
 
 namespace sempe::sim {
 
@@ -237,16 +238,11 @@ LintPoint measure_lint(const std::string& spec,
 usize env_usize(const char* name, usize fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  usize parsed = 0;
-  for (const char* c = v; *c != '\0'; ++c) {
-    const usize digit = static_cast<usize>(*c - '0');
-    if (*c < '0' || *c > '9' ||
-        parsed > (std::numeric_limits<usize>::max() - digit) / 10)
-      throw SimError(std::string(name) + "='" + v +
-                     "' is not a decimal number that fits a usize");
-    parsed = parsed * 10 + digit;
-  }
-  return parsed == 0 ? fallback : parsed;
+  const std::optional<u64> parsed = parse_decimal(v);
+  if (!parsed)
+    throw SimError(std::string(name) + "='" + v +
+                   "' is not a decimal number that fits a usize");
+  return *parsed == 0 ? fallback : static_cast<usize>(*parsed);
 }
 
 }  // namespace sempe::sim

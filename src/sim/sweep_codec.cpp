@@ -4,8 +4,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "util/check.h"
+#include "util/decimal.h"
 
 namespace sempe::sim {
 
@@ -110,12 +112,9 @@ const std::string& PointReader::raw(const std::string& key, char type) const {
 }
 
 u64 PointReader::get_u64(const std::string& key) const {
-  const std::string& v = raw(key, 'u');
-  char* end = nullptr;
-  const u64 n = std::strtoull(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0')
-    throw SimError("point blob: bad u64 in field '" + key + "'");
-  return n;
+  const std::optional<u64> n = parse_decimal(raw(key, 'u'));
+  if (!n) throw SimError("point blob: bad u64 in field '" + key + "'");
+  return *n;
 }
 
 double PointReader::get_f64(const std::string& key) const {

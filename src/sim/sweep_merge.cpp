@@ -1,13 +1,12 @@
 #include "sim/sweep_merge.h"
 
-#include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "util/check.h"
+#include "util/decimal.h"
 #include "util/types.h"
 
 namespace sempe::sim {
@@ -31,19 +30,12 @@ struct ShardDoc {
 };
 
 // Shard documents are read from outside the program, so the whole token
-// must be decimal digits: strtoull alone would read "3x" as 3 and accept
-// a sign or leading blanks.
+// must be decimal digits (parse_decimal).
 usize parse_usize(const std::string& text, const char* what) {
-  const bool digits =
-      !text.empty() && std::all_of(text.begin(), text.end(), [](char c) {
-        return c >= '0' && c <= '9';
-      });
-  errno = 0;
-  const unsigned long long v =
-      digits ? std::strtoull(text.c_str(), nullptr, 10) : 0;
-  if (!digits || errno == ERANGE)
+  const std::optional<u64> v = parse_decimal(text);
+  if (!v)
     throw SimError(std::string("shard merge: bad ") + what + " '" + text + "'");
-  return static_cast<usize>(v);
+  return static_cast<usize>(*v);
 }
 
 ShardDoc parse_shard(const std::string& doc) {

@@ -1,11 +1,12 @@
 #include "workloads/registry.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 
 #include "util/check.h"
+#include "util/decimal.h"
 #include "workloads/attack.h"
 #include "workloads/djpeg.h"
 #include "workloads/microbench.h"
@@ -73,16 +74,11 @@ std::string WorkloadSpec::get(const std::string& key,
 u64 WorkloadSpec::get_u64(const std::string& key, u64 fallback) const {
   if (!has(key)) return fallback;
   const std::string v = get(key, "");
-  // Digits only: strtoull would otherwise wrap "-1" to 2^64-1 silently.
-  bool digits = !v.empty();
-  for (const char c : v) digits = digits && c >= '0' && c <= '9';
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-  if (!digits || end != v.c_str() + v.size() || errno == ERANGE)
+  const std::optional<u64> n = parse_decimal(v);
+  if (!n)
     throw SimError("workload spec parameter '" + key + "=" + v +
                    "': not an unsigned integer");
-  return static_cast<u64>(n);
+  return *n;
 }
 
 void WorkloadSpec::set_default(const std::string& key,

@@ -4,7 +4,7 @@
 // pinned with the (machine-dependent, churn-prone) values blanked out.
 // Schema drift — a renamed field, a dropped key, a reordered header —
 // fails one of these tests instead of silently breaking downstream
-// parsers of the bench mains' --json (the figure benches included).
+// parsers of the sempe_bench reports' --json (the figures included).
 //
 // The golden files live in tests/golden/. After an INTENDED schema
 // change, regenerate them with:  SEMPE_UPDATE_GOLDEN=1 ./golden_json_test
@@ -162,9 +162,9 @@ TEST(GoldenJson, BenchTenantsSchemaIsPinned) {
 }
 
 TEST(GoldenJson, BenchScenariosByteIdenticalAcrossThreadsAndPinned) {
-  // The exact sweep bench_scenarios fans out (workloads/scenarios.h), so
-  // the golden file covers the real sweep and the --threads byte-identity
-  // guarantee is asserted here, not just in CI.
+  // The exact sweep `sempe_bench scenarios` fans out
+  // (workloads/scenarios.h), so the golden file covers the real sweep and
+  // the --threads byte-identity guarantee is asserted here, not just in CI.
   const auto jobs =
       workload_grid(workloads::scenario_sweep_specs(1), MicrobenchOptions{});
   const auto pts1 = run_workload_sweep(jobs, with_threads(1)).points;
@@ -181,7 +181,7 @@ TEST(GoldenJson, BenchScenariosByteIdenticalAcrossThreadsAndPinned) {
 }
 
 TEST(GoldenJson, MicrobenchSchemaIsPinned) {
-  // The document bench_fig10a/fig10b/table1/table2/ablation emit.
+  // The document the fig10a/fig10b/table1/table2/ablation reports emit.
   const auto jobs = microbench_grid(all_kinds(), {1, 2}, 2, {});
   const std::string json = microbench_json(
       "fig10a", jobs, run_microbench_sweep(jobs, with_threads(2)));
@@ -190,7 +190,7 @@ TEST(GoldenJson, MicrobenchSchemaIsPinned) {
 }
 
 TEST(GoldenJson, DjpegSchemaIsPinned) {
-  // The document bench_fig8/fig9 emit.
+  // The document the fig8/fig9 reports emit.
   const auto jobs = djpeg_grid({workloads::OutputFormat::kPpm,
                                 workloads::OutputFormat::kGif,
                                 workloads::OutputFormat::kBmp},

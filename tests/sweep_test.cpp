@@ -422,6 +422,18 @@ TEST(SweepCodec, CorruptBlobsThrow) {
   EXPECT_THROW(sim::decode_workload_point(sim::encode_point(pt)), SimError);
   EXPECT_THROW(sim::decode_microbench_point(sim::encode_point(as_workload)),
                SimError);
+  // A u64 field is plain decimal digits that fit a u64: a sign or an
+  // overflow is corruption, not a value ("-1" would wrap to 2^64-1).
+  const std::string blob = sim::encode_point(pt);
+  const std::string field = "u ideal_standalone_cycles ";
+  const std::string line =
+      field + std::to_string(pt.ideal_standalone_cycles) + "\n";
+  ASSERT_NE(blob.find(line), std::string::npos);
+  for (const char* bad : {"+3", "-1", "18446744073709551616"}) {
+    std::string corrupt = blob;
+    corrupt.replace(corrupt.find(line), line.size(), field + bad + "\n");
+    EXPECT_THROW(sim::decode_microbench_point(corrupt), SimError) << bad;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -552,7 +564,7 @@ TEST_F(SweepOrchestrationTest, TenantWarmCacheJsonIsByteIdentical) {
 }
 
 TEST_F(SweepOrchestrationTest, CoResidenceSweepWarmsTheLeakageCache) {
-  // bench_tenants and bench_leakage sweep the same family: a co-residence
+  // The tenants and leakage reports sweep the same family: a co-residence
   // sweep warms the cache for a leakage sweep of the same attack spec.
   security::AuditOptions aopt;
   aopt.samples = 2;
@@ -683,6 +695,15 @@ TEST(BatchCliSweep, RejectsMalformedOrchestrationFlags) {
   EXPECT_FALSE(parse({"bench", "--cache-dir="}).ok);
   EXPECT_FALSE(parse({"bench", "--journal="}).ok);
   EXPECT_FALSE(parse({"bench", "--jobs=[unclosed"}).ok);  // invalid regex
+  // Numeric values are plain decimal digits (parse_decimal): no sign, no
+  // blanks, no trailing junk.
+  EXPECT_FALSE(parse({"bench", "--threads=+2"}).ok);
+  EXPECT_FALSE(parse({"bench", "--threads= 2"}).ok);
+  EXPECT_FALSE(parse({"bench", "--threads=-1"}).ok);
+  EXPECT_FALSE(parse({"bench", "--threads=2x"}).ok);
+  EXPECT_FALSE(parse({"bench", "--shard=+0/2"}).ok);
+  EXPECT_FALSE(parse({"bench", "--shard=0/+2"}).ok);
+  EXPECT_FALSE(parse({"bench", "--shard=0/2/3"}).ok);
 }
 
 TEST(BatchCliSweep, JobsRegexFiltersByLabel) {

@@ -1,7 +1,7 @@
 // sempe_merge — reassemble a sharded sweep's --json documents.
 //
-//   bench_scenarios --shard=0/2 --json=s0.json
-//   bench_scenarios --shard=1/2 --json=s1.json
+//   sempe_bench scenarios --shard=0/2 --json=s0.json
+//   sempe_bench scenarios --shard=1/2 --json=s1.json
 //   sempe_merge s0.json s1.json > merged.json
 //
 // The merged document is byte-identical to what the unsharded run would
