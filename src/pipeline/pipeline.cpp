@@ -1,6 +1,7 @@
 #include "pipeline/pipeline.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics.h"
 
@@ -11,13 +12,48 @@ using cpu::SempeEvent;
 using isa::OpClass;
 using isa::Opcode;
 
+namespace {
+
+/// Rejects a machine no run could time: a zero width never grants a slot,
+/// a zero-entry occupancy ring has no slot to read, and a zero SPM port
+/// divides by zero. Runs in the member-initializer list, before any
+/// structure is sized from `cfg`.
+const PipelineConfig& validated(const PipelineConfig& cfg) {
+  const std::pair<const char*, u32> positive[] = {
+      {"fetch_width", cfg.fetch_width},
+      {"decode_width", cfg.decode_width},
+      {"rename_width", cfg.rename_width},
+      {"issue_width", cfg.issue_width},
+      {"load_issue_width", cfg.load_issue_width},
+      {"retire_width", cfg.retire_width},
+      {"alu_units", cfg.alu_units},
+      {"mul_units", cfg.mul_units},
+      {"fp_units", cfg.fp_units},
+      {"store_ports", cfg.store_ports},
+      {"rob_entries", cfg.rob_entries},
+      {"iq_int_entries", cfg.iq_int_entries},
+      {"iq_fp_entries", cfg.iq_fp_entries},
+      {"load_queue", cfg.load_queue},
+      {"store_queue", cfg.store_queue},
+      {"spm_bytes_per_cycle", cfg.spm_bytes_per_cycle},
+  };
+  for (const auto& [name, value] : positive)
+    SEMPE_CHECK_MSG(value > 0, "PipelineConfig::" << name << " must be > 0");
+  // Rename headroom: physical registers beyond the architectural ones.
+  SEMPE_CHECK(cfg.phys_int_regs > isa::kNumIntRegs);
+  SEMPE_CHECK(cfg.phys_fp_regs > isa::kNumFpRegs);
+  return cfg;
+}
+
+}  // namespace
+
 Pipeline::Pipeline(cpu::FunctionalCore* core, const PipelineConfig& cfg)
     : Pipeline(core, cfg, /*shared=*/nullptr, /*tenant=*/0) {}
 
 Pipeline::Pipeline(cpu::FunctionalCore* core, const PipelineConfig& cfg,
                    mem::Hierarchy* shared, u32 tenant)
     : core_(core),
-      cfg_(cfg),
+      cfg_(validated(cfg)),
       owned_hier_(shared != nullptr
                       ? nullptr
                       : std::make_unique<mem::Hierarchy>(cfg.memory)),
@@ -44,8 +80,6 @@ Pipeline::Pipeline(cpu::FunctionalCore* core, const PipelineConfig& cfg,
       prf_int_(cfg.phys_int_regs - isa::kNumIntRegs),
       prf_fp_(cfg.phys_fp_regs - isa::kNumFpRegs) {
   SEMPE_CHECK(core != nullptr);
-  SEMPE_CHECK(cfg.phys_int_regs > isa::kNumIntRegs);
-  SEMPE_CHECK(cfg.phys_fp_regs > isa::kNumFpRegs);
 }
 
 Cycle Pipeline::spm_cycles(u32 bytes) const {
@@ -221,27 +255,32 @@ void Pipeline::process_impl(const DynOp& op) {
     on_retire(op, OpTimestamps{f, rn, iss, complete, cm});
 
   ++processed_;
-  if ((processed_ & 0xffff) == 0) {
-    // All future allocations request cycles >= fetch_floor_.
-    const Cycle floor = std::min(fetch_floor_, rename_floor_);
-    fetch_slots_.prune(floor);
-    rename_slots_.prune(floor);
-    issue_slots_.prune(floor);
-    load_ports_.prune(floor);
-    store_ports_.prune(floor);
-    alu_.prune(floor);
-    mul_.prune(floor);
-    fpu_.prune(floor);
-    retire_slots_.prune(floor);
+  if ((processed_ & 0xfff) == 0) {
+    // fetch_floor_ only ever rises, and every later request is at or above
+    // it: fetch asks for >= fetch_floor_, rename for >= fetch +
+    // front_end_depth, issue for > rename, commit for > complete >= issue.
+    // So no slot below it can be asked for again. Pruning every 4096 ops
+    // keeps each ring to the cycles in flight, even in short runs.
+    fetch_slots_.prune(fetch_floor_);
+    rename_slots_.prune(fetch_floor_);
+    issue_slots_.prune(fetch_floor_);
+    load_ports_.prune(fetch_floor_);
+    store_ports_.prune(fetch_floor_);
+    alu_.prune(fetch_floor_);
+    mul_.prune(fetch_floor_);
+    fpu_.prune(fetch_floor_);
+    retire_slots_.prune(fetch_floor_);
+  }
+  if ((processed_ & 0xffff) == 0 && store_buffer_.size() > 4096) {
     // Keep the store buffer from growing without bound: entries whose commit
-    // is long past can no longer forward.
-    if (store_buffer_.size() > 4096) {
-      for (auto it = store_buffer_.begin(); it != store_buffer_.end();) {
-        if (it->second.commit + 10000 < last_commit_)
-          it = store_buffer_.erase(it);
-        else
-          ++it;
-      }
+    // is long past can no longer forward. Its period stays 65536 ops:
+    // unlike the limiter prune, it decides which stale entries a later load
+    // still sees.
+    for (auto it = store_buffer_.begin(); it != store_buffer_.end();) {
+      if (it->second.commit + 10000 < last_commit_)
+        it = store_buffer_.erase(it);
+      else
+        ++it;
     }
   }
 

@@ -154,7 +154,7 @@ class Pipeline {
     Cycle free_at() const { return slots[head]; }
     void push(Cycle c) {
       slots[head] = c;
-      head = (head + 1) % slots.size();
+      if (++head == slots.size()) head = 0;
     }
     std::vector<Cycle> slots;
     usize head = 0;

@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "isa/program_builder.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/width_limiter.h"
+#include "sim/core.h"
 #include "sim/simulator.h"
+#include "workloads/registry.h"
 
 namespace sempe {
 namespace {
@@ -40,6 +49,43 @@ TEST(WidthLimiterTest, PruneKeepsSemantics) {
   w.prune(6);
   EXPECT_EQ(w.alloc(6), 6u);
   EXPECT_EQ(w.alloc(0), 7u);  // clamped to pruned base, slot 6 taken
+}
+
+TEST(WidthLimiterTest, MatchesReferenceModel) {
+  // Differential against a map of per-cycle counts with the same contract:
+  // a request below the pruned base is clamped up to it, then takes the
+  // first cycle with a free slot. Requests wander below and above the base
+  // and far ahead (growth); prune floors creep or leap past the ring's
+  // capacity (wrap-around, slot zeroing).
+  std::mt19937_64 rng(20210705);
+  for (u32 width = 1; width <= 12; ++width) {
+    WidthLimiter w(width);
+    std::map<Cycle, u32> ref;
+    Cycle base = 0;
+    Cycle cursor = 0;  // where requests cluster; drifts forward
+    for (int step = 0; step < 20000; ++step) {
+      const u64 r = rng() % 100;
+      if (r < 4) {
+        const Cycle before =
+            base + (r == 0 ? 256 + rng() % 4096 : rng() % 64);
+        w.prune(before);
+        ref.erase(ref.begin(), ref.lower_bound(before));
+        base = before;
+        if (rng() % 2 == 0 && cursor < base) cursor = base;
+        continue;
+      }
+      Cycle earliest = cursor + rng() % 48;
+      earliest = earliest > 24 ? earliest - 24 : 0;  // may fall below base
+      if (r < 6) earliest = cursor + rng() % 2048;   // far ahead: growth
+      Cycle expect = earliest < base ? base : earliest;
+      while (ref[expect] >= width) ++expect;
+      ++ref[expect];
+      ASSERT_EQ(w.alloc(earliest), expect)
+          << "width " << width << " step " << step << " earliest "
+          << earliest << " base " << base;
+      cursor += rng() % 3;
+    }
+  }
 }
 
 TEST(PipelineTiming, IndependentOpsOverlap) {
@@ -375,6 +421,192 @@ TEST(SempeTiming, RetireWidthBoundsThroughput) {
       static_cast<double>(s.instructions) / static_cast<double>(s.cycles);
   EXPECT_LE(ipc, static_cast<double>(cfg.retire_width));
   EXPECT_GT(ipc, 1.0);  // and the machine is genuinely superscalar
+}
+
+// A malformed machine is a SimError, never a crash: one case per width,
+// occupancy capacity, and SPM port field.
+struct ConfigField {
+  const char* name;
+  void (*zero)(PipelineConfig&);
+};
+
+const ConfigField kPositiveFields[] = {
+    {"fetch_width", [](PipelineConfig& c) { c.fetch_width = 0; }},
+    {"decode_width", [](PipelineConfig& c) { c.decode_width = 0; }},
+    {"rename_width", [](PipelineConfig& c) { c.rename_width = 0; }},
+    {"issue_width", [](PipelineConfig& c) { c.issue_width = 0; }},
+    {"load_issue_width", [](PipelineConfig& c) { c.load_issue_width = 0; }},
+    {"retire_width", [](PipelineConfig& c) { c.retire_width = 0; }},
+    {"alu_units", [](PipelineConfig& c) { c.alu_units = 0; }},
+    {"mul_units", [](PipelineConfig& c) { c.mul_units = 0; }},
+    {"fp_units", [](PipelineConfig& c) { c.fp_units = 0; }},
+    {"store_ports", [](PipelineConfig& c) { c.store_ports = 0; }},
+    {"rob_entries", [](PipelineConfig& c) { c.rob_entries = 0; }},
+    {"iq_int_entries", [](PipelineConfig& c) { c.iq_int_entries = 0; }},
+    {"iq_fp_entries", [](PipelineConfig& c) { c.iq_fp_entries = 0; }},
+    {"load_queue", [](PipelineConfig& c) { c.load_queue = 0; }},
+    {"store_queue", [](PipelineConfig& c) { c.store_queue = 0; }},
+    {"phys_int_regs",
+     [](PipelineConfig& c) { c.phys_int_regs = isa::kNumIntRegs; }},
+    {"phys_fp_regs",
+     [](PipelineConfig& c) { c.phys_fp_regs = isa::kNumFpRegs; }},
+    {"spm_bytes_per_cycle",
+     [](PipelineConfig& c) { c.spm_bytes_per_cycle = 0; }},
+};
+
+class ZeroConfig : public ::testing::TestWithParam<usize> {};
+
+TEST_P(ZeroConfig, RaisesSimError) {
+  PipelineConfig cfg;
+  kPositiveFields[GetParam()].zero(cfg);
+  // A secure region, a load and a store: every resource the field sizes.
+  ProgramBuilder pb;
+  const Addr buf = pb.alloc(16, 8);
+  pb.li(1, static_cast<i64>(buf));
+  pb.st(1, 1, 0);
+  pb.ld(2, 1, 0);
+  auto join = pb.new_label();
+  pb.bne(2, isa::kRegZero, join, Secure::kYes);
+  pb.addi(5, 5, 1);
+  pb.bind(join);
+  pb.eosjmp();
+  pb.halt();
+  EXPECT_THROW(run_timed(pb, cpu::ExecMode::kSempe, cfg), SimError);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PipelineConfig, ZeroConfig,
+    ::testing::Range<usize>(0, std::size(kPositiveFields)),
+    [](const ::testing::TestParamInfo<usize>& info) {
+      return std::string(kPositiveFields[info.param].name);
+    });
+
+// Timing-model invariants, checked on every retired op: stage order,
+// in-order commit, per-cycle stage widths, and the retire-width bound on
+// the whole run. The first violation is kept for the failure message.
+class InvariantChecker {
+ public:
+  explicit InvariantChecker(const PipelineConfig& cfg) : cfg_(cfg) {}
+
+  void operator()(const cpu::DynOp& op, const pipeline::OpTimestamps& ts) {
+    ++ops_;
+    if (!(ts.fetch <= ts.rename && ts.rename <= ts.issue &&
+          ts.issue <= ts.complete && ts.complete <= ts.commit))
+      fail(op, ts, "stage order");
+    if (ts.commit < last_commit_) fail(op, ts, "commit went backwards");
+    last_commit_ = ts.commit;
+    if (bump(fetch_, ts.fetch) > cfg_.fetch_width) fail(op, ts, "fetch width");
+    if (bump(rename_, ts.rename) > cfg_.rename_width)
+      fail(op, ts, "rename width");
+    if (bump(issue_, ts.issue) > cfg_.issue_width) fail(op, ts, "issue width");
+    if (bump(commit_, ts.commit) > cfg_.retire_width)
+      fail(op, ts, "retire width");
+  }
+
+  /// "" when every op and the run totals held, else the first violation.
+  std::string verdict(const PipelineStats& s) const {
+    if (!first_.empty()) return first_;
+    if (s.instructions != ops_) return "retire hook missed ops";
+    if (s.cycles * cfg_.retire_width < s.instructions)
+      return "cycles x retire_width < instructions";
+    return "";
+  }
+
+ private:
+  static u32 bump(std::vector<u32>& counts, Cycle c) {
+    if (c >= counts.size()) counts.resize(c + c / 2 + 64, 0);
+    return ++counts[c];
+  }
+
+  void fail(const cpu::DynOp& op, const pipeline::OpTimestamps& ts,
+            const char* what) {
+    if (!first_.empty()) return;
+    std::ostringstream os;
+    os << what << " at op " << ops_ << " pc 0x" << std::hex << op.pc
+       << std::dec << ": fetch " << ts.fetch << " rename " << ts.rename
+       << " issue " << ts.issue << " complete " << ts.complete << " commit "
+       << ts.commit;
+    first_ = os.str();
+  }
+
+  PipelineConfig cfg_;
+  u64 ops_ = 0;
+  Cycle last_commit_ = 0;
+  std::vector<u32> fetch_, rename_, issue_, commit_;
+  std::string first_;
+};
+
+enum class Mode { kLegacy, kSempe, kCte };
+
+const char* mode_name(Mode m) {
+  return m == Mode::kLegacy ? "legacy" : m == Mode::kSempe ? "sempe" : "cte";
+}
+
+// Run a registry workload as sim::run would (CTE: the CTE build on the
+// legacy core), with the invariant checker on the retire hook.
+PipelineStats run_checked(const std::string& spec, Mode mode) {
+  const auto built = workloads::WorkloadRegistry::instance().build(
+      spec, mode == Mode::kCte ? workloads::Variant::kCte
+                               : workloads::Variant::kSecure);
+  sim::RunConfig rc;
+  rc.core.mode =
+      mode == Mode::kSempe ? cpu::ExecMode::kSempe : cpu::ExecMode::kLegacy;
+  rc.record_observations = false;
+  mem::MainMemory memory;
+  sim::Core core(&built.program, rc, &memory);
+  InvariantChecker check(rc.pipe);
+  core.pipe().on_retire = [&check](const cpu::DynOp& op,
+                                   const pipeline::OpTimestamps& ts) {
+    check(op, ts);
+  };
+  core.run_to_halt();
+  const PipelineStats stats = core.finish().stats;
+  EXPECT_EQ(check.verdict(stats), "") << spec << " " << mode_name(mode);
+  return stats;
+}
+
+TEST(TimingInvariants, HoldOnSmallWorkloadsInEveryMode) {
+  for (const char* spec :
+       {"micro.quicksort?width=2&iters=3&size=24&secrets=10",
+        "micro.fibonacci?width=3&iters=2", "synthetic.cond_branch?width=3",
+        "crypto.modexp?width=2"})
+    for (Mode mode : {Mode::kLegacy, Mode::kSempe, Mode::kCte})
+      run_checked(spec, mode);
+}
+
+// Long runs cross many 4096-op limiter prunes and at least two 65536-op
+// store-buffer sweeps, which the golden files' short runs never reach.
+// Each also runs under the invariant checker. The pinned values were
+// recorded before the limiters moved from deques to rings and their prune
+// floor from min(fetch, rename) floors to the fetch floor, and must never
+// be regenerated.
+struct PrunePin {
+  const char* spec;
+  Mode mode;
+  Cycle cycles;
+  Cycle drain_stall_cycles;
+  Cycle spm_transfer_cycles;
+};
+
+const PrunePin kPrunePins[] = {
+    {"micro.queens?width=4&secrets=0&iters=20", Mode::kLegacy, 43675, 0, 0},
+    {"micro.queens?width=4&secrets=0", Mode::kSempe, 77982, 75646, 220},
+    {"micro.queens?width=4&secrets=0", Mode::kCte, 1338661, 0, 0},
+    {"djpeg?format=gif&pixels=65536&scale=32", Mode::kLegacy, 110889, 0, 0},
+    {"djpeg?format=gif&pixels=65536&scale=32", Mode::kSempe, 169201, 200714,
+     320},
+};
+
+TEST(PrunePins, LongRunsKeepTheirCycles) {
+  for (const PrunePin& pin : kPrunePins) {
+    const PipelineStats s = run_checked(pin.spec, pin.mode);
+    const std::string where =
+        std::string(pin.spec) + " " + mode_name(pin.mode);
+    EXPECT_GT(s.instructions, 2u * 65536u) << where;
+    EXPECT_EQ(s.cycles, pin.cycles) << where;
+    EXPECT_EQ(s.drain_stall_cycles, pin.drain_stall_cycles) << where;
+    EXPECT_EQ(s.spm_transfer_cycles, pin.spm_transfer_cycles) << where;
+  }
 }
 
 }  // namespace
