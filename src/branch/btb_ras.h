@@ -54,38 +54,47 @@ class Btb {
   std::vector<Entry> table_;
 };
 
+/// A fixed ring of `depth` return addresses: a push at full depth
+/// overwrites the oldest entry in O(1).
 class ReturnAddressStack {
  public:
-  explicit ReturnAddressStack(usize depth = 32) : depth_(depth) {}
+  explicit ReturnAddressStack(usize depth = 32) : ring_(depth, 0) {
+    SEMPE_CHECK_MSG(depth > 0, "ReturnAddressStack depth must be > 0");
+  }
 
   void push(Addr ret) {
-    if (stack_.size() == depth_) stack_.erase(stack_.begin());
-    stack_.push_back(ret);
+    ring_[top_] = ret;
+    if (++top_ == ring_.size()) top_ = 0;
+    if (size_ < ring_.size()) ++size_;
   }
 
   /// Pop a predicted return target; 0 if empty.
   Addr pop() {
-    if (stack_.empty()) return 0;
-    const Addr a = stack_.back();
-    stack_.pop_back();
-    return a;
+    if (size_ == 0) return 0;
+    top_ = (top_ == 0 ? ring_.size() : top_) - 1;
+    --size_;
+    return ring_[top_];
   }
 
-  usize size() const { return stack_.size(); }
-  void reset() { stack_.clear(); }
+  usize size() const { return size_; }
+  void reset() { top_ = size_ = 0; }
 
+  /// Digest of the live entries, bottom of the stack to top.
   u64 digest() const {
     u64 h = 1469598103934665603ull;
-    for (Addr a : stack_) {
-      h ^= a;
+    usize i = top_ >= size_ ? top_ - size_ : top_ + ring_.size() - size_;
+    for (usize n = 0; n < size_; ++n) {
+      h ^= ring_[i];
       h *= 1099511628211ull;
+      if (++i == ring_.size()) i = 0;
     }
     return h;
   }
 
  private:
-  usize depth_;
-  std::vector<Addr> stack_;
+  std::vector<Addr> ring_;
+  usize top_ = 0;   // slot the next push writes
+  usize size_ = 0;  // live entries, ending just below top_
 };
 
 }  // namespace sempe::branch

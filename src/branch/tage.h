@@ -54,36 +54,58 @@ class Tage {
   void reset();
 
  private:
+  static constexpr usize kHistoryBits = 512;
+
   struct TaggedEntry {
-    i8 ctr = 0;       // 3-bit signed: -4..3, taken if >= 0
     u16 tag = 0;
+    i8 ctr = 0;       // 3-bit signed: -4..3, taken if >= 0
     u8 useful = 0;    // 2-bit
+  };
+
+  // Per tagged table, fixed at construction: its history fold slots and
+  // the constant it salts the index hash with.
+  struct TableHash {
+    usize index_fold = 0;
+    usize tag_fold = 0;
+    usize tag2_fold = 0;  // tag_bits - 1 wide, shifted left by one
+    u64 salt = 0;
+  };
+
+  // Where the branch under lookup lands in one tagged table.
+  struct TableKey {
+    usize entry = 0;  // flat index into tables_
+    u16 tag = 0;
   };
 
   struct Prediction {
     bool taken = false;
     bool provider_valid = false;   // a tagged table hit
     usize provider_table = 0;
-    usize provider_index = 0;
     bool alt_taken = false;        // alternate (next-hit or bimodal)
     bool bimodal_taken = false;
     usize bimodal_index = 0;
   };
 
-  usize index_for(usize table, Addr pc) const;
-  u16 tag_for(usize table, Addr pc) const;
-  Prediction lookup(Addr pc) const;
+  /// Look pc up under the current history, filling keys_ for the provider
+  /// and every table above it.
+  Prediction lookup(Addr pc);
 
   TageConfig cfg_;
-  std::vector<u8> bimodal_;                        // 2-bit counters
-  std::vector<std::vector<TaggedEntry>> tables_;
+  std::vector<u8> bimodal_;            // 2-bit counters
+  std::vector<TaggedEntry> tables_;    // table t at [t * tagged_entries, ...)
   GlobalHistory history_;
-  Prediction last_;   // lookup state carried from predict() to update()
+  std::vector<TableHash> hash_;
+  u32 index_bits_ = 0;
+  u64 index_mask_ = 0;
+  u64 tag_mask_ = 0;
+  // Lookup state carried from predict() to update(): valid while
+  // have_last_, i.e. until the history moves.
+  std::vector<TableKey> keys_;
+  Prediction last_;
   Addr last_pc_ = 0;
   bool have_last_ = false;
   u64 lookups_ = 0;
   u64 mispredicts_ = 0;
-  u64 alloc_seed_ = 0x123456789abcdefull;  // deterministic allocation tiebreak
 };
 
 }  // namespace sempe::branch

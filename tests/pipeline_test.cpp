@@ -424,13 +424,16 @@ TEST(SempeTiming, RetireWidthBoundsThroughput) {
 }
 
 // A malformed machine is a SimError, never a crash: one case per width,
-// occupancy capacity, and SPM port field.
+// occupancy capacity and SPM port field set to zero, and per predictor
+// geometry the hashing cannot serve (tags outside what a u16 holds or, for
+// TAGE, narrower than its two tag folds need; history lengths of 0 or past
+// the history register, 512 bits for TAGE and 256 for ITTAGE; no RAS).
 struct ConfigField {
   const char* name;
-  void (*zero)(PipelineConfig&);
+  void (*mutate)(PipelineConfig&);
 };
 
-const ConfigField kPositiveFields[] = {
+const ConfigField kMalformedFields[] = {
     {"fetch_width", [](PipelineConfig& c) { c.fetch_width = 0; }},
     {"decode_width", [](PipelineConfig& c) { c.decode_width = 0; }},
     {"rename_width", [](PipelineConfig& c) { c.rename_width = 0; }},
@@ -452,13 +455,27 @@ const ConfigField kPositiveFields[] = {
      [](PipelineConfig& c) { c.phys_fp_regs = isa::kNumFpRegs; }},
     {"spm_bytes_per_cycle",
      [](PipelineConfig& c) { c.spm_bytes_per_cycle = 0; }},
+    {"tage_tag_bits_1", [](PipelineConfig& c) { c.tage.tag_bits = 1; }},
+    {"tage_tag_bits_17", [](PipelineConfig& c) { c.tage.tag_bits = 17; }},
+    {"tage_history_0",
+     [](PipelineConfig& c) { c.tage.history_lengths = {0, 9}; }},
+    {"tage_history_513",
+     [](PipelineConfig& c) { c.tage.history_lengths = {4, 513}; }},
+    {"ittage_tag_bits_0", [](PipelineConfig& c) { c.ittage.tag_bits = 0; }},
+    {"ittage_tag_bits_17",
+     [](PipelineConfig& c) { c.ittage.tag_bits = 17; }},
+    {"ittage_history_0",
+     [](PipelineConfig& c) { c.ittage.history_lengths = {0}; }},
+    {"ittage_history_257",
+     [](PipelineConfig& c) { c.ittage.history_lengths = {8, 257}; }},
+    {"ras_depth_0", [](PipelineConfig& c) { c.ras_depth = 0; }},
 };
 
-class ZeroConfig : public ::testing::TestWithParam<usize> {};
+class MalformedConfig : public ::testing::TestWithParam<usize> {};
 
-TEST_P(ZeroConfig, RaisesSimError) {
+TEST_P(MalformedConfig, RaisesSimError) {
   PipelineConfig cfg;
-  kPositiveFields[GetParam()].zero(cfg);
+  kMalformedFields[GetParam()].mutate(cfg);
   // A secure region, a load and a store: every resource the field sizes.
   ProgramBuilder pb;
   const Addr buf = pb.alloc(16, 8);
@@ -475,10 +492,10 @@ TEST_P(ZeroConfig, RaisesSimError) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PipelineConfig, ZeroConfig,
-    ::testing::Range<usize>(0, std::size(kPositiveFields)),
+    PipelineConfig, MalformedConfig,
+    ::testing::Range<usize>(0, std::size(kMalformedFields)),
     [](const ::testing::TestParamInfo<usize>& info) {
-      return std::string(kPositiveFields[info.param].name);
+      return std::string(kMalformedFields[info.param].name);
     });
 
 // Timing-model invariants, checked on every retired op: stage order,
