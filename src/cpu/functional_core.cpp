@@ -19,6 +19,12 @@ FunctionalCore::FunctionalCore(const isa::Program* program,
   state_.set_int(isa::kRegSp, static_cast<i64>(isa::kStackTop));
 }
 
+Addr FunctionalCore::ea(const Instruction& ins) const {
+  // Wrapping u64 arithmetic: an i64 sum would overflow (UB) for bases near
+  // INT64_MIN/INT64_MAX, and agrees bit for bit wherever it does not.
+  return static_cast<Addr>(state_.get_int(ins.rs1)) + static_cast<Addr>(ins.imm);
+}
+
 u32 FunctionalCore::snapshot_bytes(SempeEvent ev, usize archrs_bytes) const {
   switch (cfg_.snapshot_model) {
     case SnapshotModel::kArchRS:
@@ -212,7 +218,7 @@ DynOp FunctionalCore::step() {
     case Opcode::kLd:
     case Opcode::kLw:
     case Opcode::kLbu: {
-      const Addr a = static_cast<Addr>(state_.get_int(ins.rs1) + ins.imm);
+      const Addr a = ea(ins);
       const u8 size = ins.op == Opcode::kLd ? 8 : ins.op == Opcode::kLw ? 4 : 1;
       const u64 raw = mem_->read(a, size);
       i64 v;
@@ -225,7 +231,7 @@ DynOp FunctionalCore::step() {
     case Opcode::kSt:
     case Opcode::kSw:
     case Opcode::kSb: {
-      const Addr a = static_cast<Addr>(state_.get_int(ins.rs1) + ins.imm);
+      const Addr a = ea(ins);
       const u8 size = ins.op == Opcode::kSt ? 8 : ins.op == Opcode::kSw ? 4 : 1;
       mem_->write(a, static_cast<u64>(state_.get_int(ins.rs2)), size);
       mem_access(a, size, true);
@@ -252,7 +258,7 @@ DynOp FunctionalCore::step() {
       }
       op.is_cond_branch = true;
       op.branch_taken = taken;
-      op.branch_target = static_cast<Addr>(static_cast<i64>(pc) + ins.imm);
+      op.branch_target = pc + static_cast<Addr>(ins.imm);
 
       const bool secure_exec = ins.secure && cfg_.mode == ExecMode::kSempe;
       if (secure_exec) {
@@ -283,12 +289,12 @@ DynOp FunctionalCore::step() {
 
     case Opcode::kJal:
       write_int(ins.rd, static_cast<i64>(pc + isa::kInstrBytes));
-      op.branch_target = static_cast<Addr>(static_cast<i64>(pc) + ins.imm);
+      op.branch_target = pc + static_cast<Addr>(ins.imm);
       op.next_pc = op.branch_target;
       break;
 
     case Opcode::kJalr: {
-      const Addr t = static_cast<Addr>(state_.get_int(ins.rs1) + ins.imm);
+      const Addr t = ea(ins);
       write_int(ins.rd, static_cast<i64>(pc + isa::kInstrBytes));
       op.branch_target = t;
       op.next_pc = t;

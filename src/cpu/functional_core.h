@@ -92,6 +92,8 @@ class FunctionalCore {
 
  private:
   i64 alu(const isa::Instruction& ins, i64 a, i64 b) const;
+  /// rs1 + imm, the address of a load or store and the target of jalr.
+  Addr ea(const isa::Instruction& ins) const;
   /// SPM traffic the configured snapshot model charges for one event,
   /// given what ArchRS would have moved.
   u32 snapshot_bytes(SempeEvent ev, usize archrs_bytes) const;

@@ -95,20 +95,33 @@ u64 encode(const Instruction& ins) {
   return w;
 }
 
-Instruction decode(u64 word) {
+DecodeStatus try_decode(u64 word, Instruction& out) {
   const u64 opc = bits_of(word, 0, 8);
-  SEMPE_CHECK_MSG(opc < kNumOpcodes, "invalid opcode byte " << opc);
-  SEMPE_CHECK_MSG(bits_of(word, 27, 5) == 0, "nonzero reserved bits");
+  if (opc >= kNumOpcodes) return DecodeStatus::kBadOpcode;
+  if (bits_of(word, 27, 5) != 0) return DecodeStatus::kReservedBits;
+  out.op = static_cast<Opcode>(opc);
+  out.secure = bits_of(word, 8, 1) != 0;
+  out.rd = static_cast<Reg>(bits_of(word, 9, 6));
+  out.rs1 = static_cast<Reg>(bits_of(word, 15, 6));
+  out.rs2 = static_cast<Reg>(bits_of(word, 21, 6));
+  out.imm = sign_extend(bits_of(word, 32, 32), 32);
+  if (out.rd >= kNumArchRegs || out.rs1 >= kNumArchRegs ||
+      out.rs2 >= kNumArchRegs)
+    return DecodeStatus::kBadRegister;
+  return DecodeStatus::kOk;
+}
+
+Instruction decode(u64 word) {
   Instruction ins;
-  ins.op = static_cast<Opcode>(opc);
-  ins.secure = bits_of(word, 8, 1) != 0;
-  ins.rd = static_cast<Reg>(bits_of(word, 9, 6));
-  ins.rs1 = static_cast<Reg>(bits_of(word, 15, 6));
-  ins.rs2 = static_cast<Reg>(bits_of(word, 21, 6));
-  check_reg(ins.rd);
-  check_reg(ins.rs1);
-  check_reg(ins.rs2);
-  ins.imm = sign_extend(bits_of(word, 32, 32), 32);
+  const DecodeStatus s = try_decode(word, ins);
+  SEMPE_CHECK_MSG(s != DecodeStatus::kBadOpcode,
+                  "invalid opcode byte " << bits_of(word, 0, 8));
+  SEMPE_CHECK_MSG(s != DecodeStatus::kReservedBits, "nonzero reserved bits");
+  if (s == DecodeStatus::kBadRegister) {
+    check_reg(ins.rd);
+    check_reg(ins.rs1);
+    check_reg(ins.rs2);
+  }
   return ins;
 }
 

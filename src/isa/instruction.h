@@ -49,6 +49,13 @@ struct Instruction {
 /// in 32 bits or a register index is out of range.
 u64 encode(const Instruction& ins);
 
+/// Why a machine word does not decode (kOk when it does).
+enum class DecodeStatus : u8 { kOk, kBadOpcode, kReservedBits, kBadRegister };
+
+/// Decode a 64-bit machine word without throwing. On kOk `out` holds the
+/// instruction; otherwise its contents are unspecified.
+DecodeStatus try_decode(u64 word, Instruction& out);
+
 /// Decode a 64-bit machine word. Throws SimError on an invalid opcode,
 /// register index, or nonzero reserved bits.
 Instruction decode(u64 word);

@@ -1,4 +1,11 @@
 // An executable image: encoded code plus initialized data segments.
+//
+// The constructor decodes every code word once into a table that fetch()
+// indexes, so executing an instruction costs no bit extraction or field
+// checks. A word that does not decode is only marked there: the program
+// still builds, and fetch() of that word raises decode()'s SimError, only
+// when (and every time) that word is fetched. A Program is immutable after
+// construction.
 #pragma once
 
 #include <string>
@@ -39,7 +46,12 @@ class Program {
       : code_base_(code_base),
         code_(std::move(code)),
         data_(std::move(data)),
-        allocs_(std::move(allocs)) {}
+        allocs_(std::move(allocs)) {
+    decoded_.resize(code_.size());
+    for (usize i = 0; i < code_.size(); ++i)
+      if (try_decode(code_[i], decoded_[i]) != DecodeStatus::kOk)
+        decoded_[i] = Instruction{.op = kUndecodable};
+  }
 
   Addr code_base() const { return code_base_; }
   Addr entry() const { return code_base_; }
@@ -68,20 +80,28 @@ class Program {
            (pc - code_base_) % kInstrBytes == 0;
   }
 
-  /// Fetch + decode the instruction at pc. Throws SimError on a PC outside
-  /// the code segment (the simulated machine has no self-modifying code).
+  /// The decoded instruction at pc. Throws SimError on a PC outside the
+  /// code segment (the simulated machine has no self-modifying code), or
+  /// decode()'s SimError if the word at pc does not decode.
   Instruction fetch(Addr pc) const {
     SEMPE_CHECK_MSG(contains(pc), "instruction fetch outside code segment at 0x"
                                       << std::hex << pc);
-    return decode(code_[(pc - code_base_) / kInstrBytes]);
+    const usize i = (pc - code_base_) / kInstrBytes;
+    if (decoded_[i].op == kUndecodable) [[unlikely]]
+      return decode(code_[i]);  // throws
+    return decoded_[i];
   }
 
   /// Multi-line disassembly listing (for debugging and tests).
   std::string disassemble() const;
 
  private:
+  /// Marks a decoded_ slot whose word does not decode.
+  static constexpr Opcode kUndecodable = Opcode::kCount;
+
   Addr code_base_ = kCodeBase;
   std::vector<u64> code_;
+  std::vector<Instruction> decoded_;  // decode(code_[i]), or kUndecodable
   std::vector<DataSegment> data_;
   std::vector<Allocation> allocs_;
 };

@@ -3,6 +3,9 @@
 // The cache tracks tags and dirty bits only (data values live in
 // MainMemory; the timing model needs hit/miss behavior, not cached bytes).
 //
+// The constructor requires power-of-two line size and set count and turns
+// them into shifts and a mask, so an access does no division.
+//
 // Statistics are fixed-slot: the hot access path bumps an enum-indexed
 // u64 array (one add per event, no map, no string), and the cold
 // export_stats() renders the named StatSet view reports are built from.
@@ -93,14 +96,20 @@ class Cache {
   };
 
   usize set_index(Addr a) const {
-    return static_cast<usize>((a / cfg_.line_bytes) & (num_sets_ - 1));
+    return static_cast<usize>((a >> line_shift_) & (num_sets_ - 1));
   }
-  u64 tag_of(Addr a) const { return a / cfg_.line_bytes / num_sets_; }
+  u64 tag_of(Addr a) const { return a >> tag_shift_; }
+  /// Inverse of (set_index, tag_of): the line address.
+  Addr line_addr(u64 tag, usize set) const {
+    return ((tag << (tag_shift_ - line_shift_)) | set) << line_shift_;
+  }
 
   void bump(CacheStat s) { ++counters_[static_cast<usize>(s)]; }
 
   CacheConfig cfg_;
   usize num_sets_;
+  u32 line_shift_ = 0;  // log2(line_bytes)
+  u32 tag_shift_ = 0;   // log2(line_bytes * num_sets_)
   std::vector<Line> lines_;  // num_sets_ * assoc, set-major
   u64 lru_clock_ = 0;
   std::array<u64, kNumCacheStats> counters_{};

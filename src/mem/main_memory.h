@@ -5,9 +5,19 @@
 // reset() recycles page allocations into a free pool, which lets a sweep
 // worker reuse one MainMemory across experiment points (sim/simulator.cpp)
 // instead of re-allocating the working set per run.
+//
+// An access that stays inside one page costs one page lookup; only a
+// page-crossing access goes byte by byte. A one-entry last-page cache sits
+// in front of the page map, so a run of accesses to the same page skips
+// the hash lookup too; reset() invalidates it. Because reads update that
+// cache, a MainMemory is single-threaded, const reads included: every
+// user owns its own (the thread-local scratch memory of sim/simulator.cpp
+// and each co-resident tenant's memory).
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cstring>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -22,29 +32,53 @@ class MainMemory {
   static constexpr usize kPageBits = 12;
   static constexpr usize kPageSize = 1ull << kPageBits;
 
+  MainMemory() = default;
+  // The last-page cache points into this object's page map.
+  MainMemory(const MainMemory&) = delete;
+  MainMemory& operator=(const MainMemory&) = delete;
+
   u8 read_u8(Addr a) const {
     const Page* p = find(a);
-    return p ? (*p)[a & (kPageSize - 1)] : 0;
+    return p ? (*p)[offset(a)] : 0;
   }
-  void write_u8(Addr a, u8 v) { page(a)[a & (kPageSize - 1)] = v; }
+  void write_u8(Addr a, u8 v) { page(a)[offset(a)] = v; }
 
   u64 read(Addr a, usize size) const {
     SEMPE_CHECK(size >= 1 && size <= 8);
     u64 v = 0;
+    if (offset(a) + size <= kPageSize) {
+      const Page* p = find(a);
+      if (p == nullptr) return 0;
+      const u8* b = p->data() + offset(a);
+      for (usize i = 0; i < size; ++i) v |= static_cast<u64>(b[i]) << (8 * i);
+      return v;
+    }
     for (usize i = 0; i < size; ++i)
       v |= static_cast<u64>(read_u8(a + i)) << (8 * i);
     return v;
   }
   void write(Addr a, u64 v, usize size) {
     SEMPE_CHECK(size >= 1 && size <= 8);
+    if (offset(a) + size <= kPageSize) {
+      u8* b = page(a).data() + offset(a);
+      for (usize i = 0; i < size; ++i) b[i] = static_cast<u8>(v >> (8 * i));
+      return;
+    }
     for (usize i = 0; i < size; ++i) write_u8(a + i, static_cast<u8>(v >> (8 * i)));
   }
 
   u64 read_u64(Addr a) const { return read(a, 8); }
   void write_u64(Addr a, u64 v) { write(a, v, 8); }
 
+  /// Copy n bytes to [a, a + n), one page chunk at a time.
   void write_bytes(Addr a, const u8* data, usize n) {
-    for (usize i = 0; i < n; ++i) write_u8(a + i, data[i]);
+    while (n > 0) {
+      const usize chunk = std::min(n, kPageSize - offset(a));
+      std::memcpy(page(a).data() + offset(a), data, chunk);
+      a += chunk;
+      data += chunk;
+      n -= chunk;
+    }
   }
 
   usize num_touched_pages() const { return pages_.size(); }
@@ -59,17 +93,33 @@ class MainMemory {
       free_pool_.push_back(std::move(p));
     }
     pages_.clear();
+    last_index_ = kNoPage;
+    last_page_ = nullptr;
   }
 
  private:
   using Page = std::array<u8, kPageSize>;
 
+  /// No page index is this large (indices are Addr >> kPageBits).
+  static constexpr u64 kNoPage = ~0ull;
+
+  static usize offset(Addr a) { return static_cast<usize>(a & (kPageSize - 1)); }
+
+  /// The page holding a, or nullptr if it was never written. Only pages
+  /// that exist enter the last-page cache.
   const Page* find(Addr a) const {
-    auto it = pages_.find(a >> kPageBits);
-    return it == pages_.end() ? nullptr : it->second.get();
+    const u64 idx = a >> kPageBits;
+    if (idx == last_index_) return last_page_;
+    auto it = pages_.find(idx);
+    if (it == pages_.end()) return nullptr;
+    last_index_ = idx;
+    last_page_ = it->second.get();
+    return last_page_;
   }
   Page& page(Addr a) {
-    auto& p = pages_[a >> kPageBits];
+    const u64 idx = a >> kPageBits;
+    if (idx == last_index_) return *last_page_;
+    auto& p = pages_[idx];
     if (!p) {
       if (!free_pool_.empty()) {
         p = std::move(free_pool_.back());  // already zeroed by reset()
@@ -78,11 +128,17 @@ class MainMemory {
         p = std::make_unique<Page>(Page{});
       }
     }
+    last_index_ = idx;
+    last_page_ = p.get();
     return *p;
   }
 
   std::unordered_map<u64, std::unique_ptr<Page>> pages_;
   std::vector<std::unique_ptr<Page>> free_pool_;  // zeroed, ready for reuse
+  // The last page found or created. Pages are heap-allocated and never
+  // move, so the pointer stays valid until reset() clears the map.
+  mutable u64 last_index_ = kNoPage;
+  mutable Page* last_page_ = nullptr;
 };
 
 }  // namespace sempe::mem

@@ -7,13 +7,16 @@ namespace sempe::mem {
 StridePrefetcher::StridePrefetcher(const Config& cfg) : cfg_(cfg) {
   SEMPE_CHECK(cfg.table_entries > 0);
   table_.resize(cfg.table_entries);
+  out_.reserve(cfg.degree);
 }
 
-std::vector<Addr> StridePrefetcher::observe(Addr pc, Addr addr) {
+std::span<const Addr> StridePrefetcher::observe(Addr pc, Addr addr) {
   Entry& e = table_[(pc >> 3) % table_.size()];
-  std::vector<Addr> out;
+  out_.clear();
   if (e.valid && e.pc_tag == pc) {
-    const i64 stride = static_cast<i64>(addr) - static_cast<i64>(e.last_addr);
+    // Wrapping u64 arithmetic: addresses a full i64 range apart would
+    // overflow an i64 difference (UB); the two agree everywhere else.
+    const i64 stride = static_cast<i64>(addr - e.last_addr);
     if (stride != 0 && stride == e.stride) {
       if (e.confidence < 3) ++e.confidence;
     } else {
@@ -24,16 +27,16 @@ std::vector<Addr> StridePrefetcher::observe(Addr pc, Addr addr) {
     if (e.confidence >= 2 && e.stride != 0) {
       Addr target = addr;
       for (usize d = 0; d < cfg_.degree; ++d) {
-        target = static_cast<Addr>(static_cast<i64>(target) + e.stride);
-        out.push_back(target);
+        target += static_cast<Addr>(e.stride);
+        out_.push_back(target);
       }
-      issued_ += out.size();
+      issued_ += out_.size();
     }
   } else {
     e = {.valid = true, .pc_tag = pc, .last_addr = addr, .stride = 0,
          .confidence = 0};
   }
-  return out;
+  return out_;
 }
 
 void StridePrefetcher::reset() {
@@ -44,11 +47,12 @@ void StridePrefetcher::reset() {
 StreamPrefetcher::StreamPrefetcher(const Config& cfg) : cfg_(cfg) {
   SEMPE_CHECK(cfg.num_streams > 0);
   streams_.resize(cfg.num_streams);
+  out_.reserve(cfg.depth);
 }
 
-std::vector<Addr> StreamPrefetcher::observe_miss(Addr addr) {
+std::span<const Addr> StreamPrefetcher::observe_miss(Addr addr) {
   const Addr line = addr & ~static_cast<Addr>(cfg_.line_bytes - 1);
-  std::vector<Addr> out;
+  out_.clear();
 
   // Continuing an existing stream?
   for (Stream& s : streams_) {
@@ -60,9 +64,9 @@ std::vector<Addr> StreamPrefetcher::observe_miss(Addr addr) {
       s.next_line = line + cfg_.line_bytes;
       // Run ahead: prefetch the next `depth` lines.
       for (usize d = 1; d <= cfg_.depth; ++d)
-        out.push_back(line + d * cfg_.line_bytes);
-      issued_ += out.size();
-      return out;
+        out_.push_back(line + d * cfg_.line_bytes);
+      issued_ += out_.size();
+      return out_;
     }
   }
 
@@ -77,7 +81,7 @@ std::vector<Addr> StreamPrefetcher::observe_miss(Addr addr) {
   }
   *victim = {.valid = true, .confirmed = false,
              .next_line = line + cfg_.line_bytes, .last_use = ++use_clock_};
-  return out;
+  return out_;
 }
 
 void StreamPrefetcher::reset() {

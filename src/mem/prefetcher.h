@@ -1,7 +1,13 @@
 // Hardware prefetchers matching Table II: a PC-indexed stride prefetcher
 // for the L1 data cache and a miss-stream prefetcher for the L2.
+//
+// Each prefetcher returns its prefetch addresses as a view of a buffer it
+// owns and reuses, so no call allocates. The view stays valid until the
+// next observe()/observe_miss() on the same prefetcher, or its destruction;
+// copy the addresses out to keep them longer.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "util/types.h"
@@ -21,8 +27,9 @@ class StridePrefetcher {
   StridePrefetcher() : StridePrefetcher(Config{}) {}
   explicit StridePrefetcher(const Config& cfg);
 
-  /// Observe a demand access; returns the list of prefetch addresses.
-  std::vector<Addr> observe(Addr pc, Addr addr);
+  /// Observe a demand access; returns the prefetch addresses (at most
+  /// `degree`), valid until the next call (see the file comment).
+  std::span<const Addr> observe(Addr pc, Addr addr);
 
   void reset();
   u64 issued() const { return issued_; }
@@ -38,6 +45,7 @@ class StridePrefetcher {
 
   Config cfg_;
   std::vector<Entry> table_;
+  std::vector<Addr> out_;  // the returned view's storage
   u64 issued_ = 0;
 };
 
@@ -54,8 +62,9 @@ class StreamPrefetcher {
   StreamPrefetcher() : StreamPrefetcher(Config{}) {}
   explicit StreamPrefetcher(const Config& cfg);
 
-  /// Observe an L2 demand miss; returns prefetch addresses.
-  std::vector<Addr> observe_miss(Addr addr);
+  /// Observe an L2 demand miss; returns the prefetch addresses (none or
+  /// `depth`), valid until the next call (see the file comment).
+  std::span<const Addr> observe_miss(Addr addr);
 
   void reset();
   u64 issued() const { return issued_; }
@@ -70,6 +79,7 @@ class StreamPrefetcher {
 
   Config cfg_;
   std::vector<Stream> streams_;
+  std::vector<Addr> out_;  // the returned view's storage
   u64 use_clock_ = 0;
   u64 issued_ = 0;
 };

@@ -259,6 +259,69 @@ TEST(Control, AllBranchPredicates) {
   EXPECT_EQ(r->core->state().get_int(25), 1);
 }
 
+// Effective addresses are computed in wrapping u64 arithmetic: a base near
+// INT64_MAX or INT64_MIN plus an offset must not overflow i64 (undefined
+// behaviour, which the sanitizer build reports), and the access lands
+// where two's complement wraps it.
+TEST(Memory, EffectiveAddressWrapsAtInt64Edges) {
+  struct Case {
+    i64 base;
+    i64 off;
+  };
+  for (const Case& c : {Case{INT64_MAX, 8}, Case{INT64_MAX, 1},
+                       Case{INT64_MAX - 3, 16}, Case{INT64_MIN, -8},
+                       Case{INT64_MIN, -1}, Case{INT64_MIN + 2, -64}}) {
+    const Addr ea = static_cast<Addr>(c.base) + static_cast<Addr>(c.off);
+    ProgramBuilder pb;
+    pb.li64(5, c.base);
+    pb.ld(6, 5, c.off);  // reads zero: nothing written yet
+    pb.li64(7, 0x1122334455667788);
+    pb.st(7, 5, c.off);
+    pb.ld(8, 5, c.off);
+    pb.sw(7, 5, c.off);
+    pb.lw(9, 5, c.off);
+    pb.sb(7, 5, c.off);
+    pb.lbu(10, 5, c.off);
+    pb.halt();
+    auto r = run_prog(pb);
+    SCOPED_TRACE(testing::Message() << c.base << " + " << c.off);
+    EXPECT_EQ(r->core->state().get_int(6), 0);
+    EXPECT_EQ(r->core->state().get_int(8), 0x1122334455667788);
+    EXPECT_EQ(r->core->state().get_int(9), 0x55667788);
+    EXPECT_EQ(r->core->state().get_int(10), 0x88);
+    EXPECT_EQ(r->memory.read_u64(ea), 0x1122334455667788u);
+  }
+}
+
+// jalr's target wraps the same way and then fails to fetch.
+TEST(Control, JalrWrappedTargetFailsToFetch) {
+  for (const auto& [base, off] : {std::pair<i64, i64>{INT64_MAX, 16},
+                                 std::pair<i64, i64>{INT64_MIN, -8}}) {
+    ProgramBuilder pb;
+    pb.li64(5, base);
+    pb.jalr(6, 5, off);
+    pb.halt();
+    const isa::Program prog = pb.build();
+    mem::MainMemory memory;
+    FunctionalCore core(&prog, &memory);
+    cpu::DynOp op;
+    do op = core.step();
+    while (op.ins.op != Opcode::kJalr);
+    const Addr want = static_cast<Addr>(base) + static_cast<Addr>(off);
+    EXPECT_EQ(op.next_pc, want);
+    EXPECT_EQ(op.branch_target, want);
+    try {
+      core.step();
+      ADD_FAILURE() << "fetch at 0x" << std::hex << want << " succeeded";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "instruction fetch outside code segment"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Core, HaltStopsExecution) {
   ProgramBuilder pb;
   pb.li(1, 1);

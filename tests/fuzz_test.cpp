@@ -4,9 +4,14 @@
 // secrets under SeMPE. A second fuzzer drives the workload registry's
 // spec grammar: random (often malformed) `name?key=val&...` strings must
 // either build or throw SimError — never crash — and every accepted spec
-// must round-trip through its canonical form.
+// must round-trip through its canonical form. A third fuzzer runs random
+// machine code, registers seeded with extreme values, through the full
+// timing model in legacy and SeMPE modes: every program must end in a
+// result or a SimError, identically on a rerun.
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <map>
 #include <string>
 
 #include "isa/program_builder.h"
@@ -220,6 +225,143 @@ TEST_P(Fuzz, TimingAlsoSecretIndependent) {
 INSTANTIATE_TEST_SUITE_P(Seeds, Fuzz,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89,
                                            144, 233, 377, 610, 987));
+
+// ---------------------------------------------------------------------------
+// Random machine code through sim::run.
+
+using isa::Instruction;
+using isa::OpClass;
+using isa::Opcode;
+
+/// Registers the random programs compute with; the prologue seeds them.
+constexpr Reg kFuzzIntRegs = 16;  // x0..x15
+constexpr Reg kFuzzFpRegs = 4;    // f0..f3 (register indices 32..35)
+
+/// Register values that stress address and ALU arithmetic: zero, +-1,
+/// the i64 extremes, and addresses on page and segment edges.
+const i64 kExtremeValues[] = {
+    0,
+    1,
+    -1,
+    INT64_MIN,
+    INT64_MAX,
+    INT64_MIN + 1,
+    INT64_MAX - 7,
+    0xfff,
+    0x1000 - 4,
+    static_cast<i64>(isa::kDataBase) + 0x1000 - 3,
+    static_cast<i64>(isa::kStackTop) - 8,
+    static_cast<i64>(isa::kCodeBase),
+    -4096,
+    static_cast<i64>(0x7fff'ffff'ffff'f000),
+};
+
+Reg random_reg(Rng& rng, bool fp) {
+  if (rng.next_below(50) == 0)  // now and then the wrong class
+    return static_cast<Reg>(rng.next_below(isa::kNumArchRegs));
+  if (fp) return static_cast<Reg>(isa::kNumIntRegs + rng.next_below(kFuzzFpRegs));
+  return static_cast<Reg>(rng.next_below(kFuzzIntRegs));
+}
+
+/// A random valid instruction for slot `i` of an `n`-slot body. Control
+/// transfers mostly land on an instruction of the program.
+Instruction random_instruction(Rng& rng, usize i, usize n) {
+  Instruction ins;
+  ins.op = static_cast<Opcode>(rng.next_below(isa::kNumOpcodes));
+  const OpClass cls = isa::op_info(ins.op).op_class;
+  const bool fp_dst = cls == OpClass::kFpAlu || cls == OpClass::kFpDiv;
+  const bool fp_src = fp_dst && ins.op != Opcode::kI2f;
+  ins.rd = random_reg(rng, fp_dst && ins.op != Opcode::kF2i);
+  ins.rs1 = random_reg(rng, fp_src);
+  ins.rs2 = random_reg(rng, fp_src);
+  const i64 here = static_cast<i64>(i);
+  const i64 slot_offset =
+      8 * rng.next_in(-here, static_cast<i64>(n) - here);  // within the body
+  switch (rng.next_below(4)) {
+    case 0: ins.imm = rng.next_in(INT32_MIN, INT32_MAX); break;
+    case 1: ins.imm = rng.next_in(-16, 16); break;
+    default: ins.imm = slot_offset; break;
+  }
+  if (cls == OpClass::kBranch || ins.op == Opcode::kJal) {
+    if (rng.next_below(8) != 0) ins.imm = slot_offset;
+    ins.secure = cls == OpClass::kBranch && rng.next_below(3) == 0;
+  }
+  return ins;
+}
+
+/// A seeded random program: a prologue loading extreme values into the
+/// integer and FP registers, then a body of random valid encodings with
+/// some raw random words mixed in, then HALT.
+isa::Program random_program(u64 seed) {
+  Rng rng(seed);
+  ProgramBuilder pb;
+  for (Reg r = 1; r < kFuzzIntRegs; ++r)
+    pb.li64(r, kExtremeValues[rng.next_below(std::size(kExtremeValues))]);
+  for (Reg f = 0; f < kFuzzFpRegs; ++f)
+    pb.i2f(static_cast<Reg>(isa::kNumIntRegs + f),
+           static_cast<Reg>(1 + rng.next_below(kFuzzIntRegs - 1)));
+  std::vector<u64> words = pb.build().code();
+  const usize n = 8 + rng.next_below(56);
+  for (usize i = 0; i < n; ++i) {
+    // Now and then a raw word: almost always undecodable, so the run fails
+    // at its fetch if it gets there.
+    words.push_back(rng.next_below(25) == 0
+                        ? rng.next_u64()
+                        : isa::encode(random_instruction(rng, i, n)));
+  }
+  words.push_back(isa::encode({.op = Opcode::kHalt}));
+  return isa::Program(isa::kCodeBase, std::move(words), {});
+}
+
+/// One run's outcome: its PipelineStats and instruction count, or the
+/// SimError it ended in.
+struct Outcome {
+  std::map<std::string, u64> stats;
+  u64 instructions = 0;
+  std::string error;
+
+  bool operator==(const Outcome&) const = default;
+};
+
+Outcome run_outcome(const isa::Program& program, cpu::ExecMode mode) {
+  sim::RunConfig rc;
+  rc.core.mode = mode;
+  rc.core.max_instructions = 5000;  // runaway loops end in SimError
+  Outcome o;
+  try {
+    const sim::RunResult r = sim::run(program, rc);
+    o.stats = r.stats.export_stats().counters();
+    o.instructions = r.instructions;
+  } catch (const SimError& e) {
+    o.error = e.what();
+  }
+  return o;
+}
+
+class ProgramFuzz : public ::testing::TestWithParam<u64> {};
+
+TEST_P(ProgramFuzz, RandomProgramsEndCleanlyAndReproducibly) {
+  usize completed = 0, failed = 0;
+  for (u64 k = 0; k < 100; ++k) {
+    const u64 seed = GetParam() * 1000 + k;
+    const isa::Program program = random_program(seed);
+    for (const cpu::ExecMode mode :
+         {cpu::ExecMode::kLegacy, cpu::ExecMode::kSempe}) {
+      const Outcome first = run_outcome(program, mode);
+      const Outcome again = run_outcome(program, mode);
+      EXPECT_EQ(first, again) << "seed " << seed << " mode "
+                              << static_cast<int>(mode) << ": "
+                              << first.error << " / " << again.error;
+      ++(first.error.empty() ? completed : failed);
+    }
+  }
+  // Both outcomes occur, so the generator reaches HALT as well as errors.
+  EXPECT_GT(completed, 0u) << "seed " << GetParam();
+  EXPECT_GT(failed, 0u) << "seed " << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ProgramFuzz,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 // ---------------------------------------------------------------------------
 // Registry spec-grammar fuzzing.

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "cpu/functional_core.h"
 #include "isa/instruction.h"
 #include "isa/program_builder.h"
+#include "util/bits.h"
 
 namespace sempe::isa {
 namespace {
@@ -150,6 +155,75 @@ TEST(Program, FetchOutsideSegmentThrows) {
   Program p = pb.build();
   EXPECT_THROW(p.fetch(p.code_base() + 8), SimError);
   EXPECT_THROW(p.fetch(p.code_base() + 1), SimError);  // misaligned
+}
+
+/// decode(word)'s SimError text, or "" if the word decodes.
+std::string decode_error(u64 word) {
+  try {
+    decode(word);
+  } catch (const SimError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Program decodes its code once, at construction. fetch() must still agree
+// with decode() word for word: the same Instruction, or the same SimError
+// text, raised only when the bad word is fetched.
+TEST(Program, FetchMatchesDecodeWordForWord) {
+  std::vector<u64> words;
+  for (usize o = 0; o < kNumOpcodes; ++o) {
+    const Opcode op = static_cast<Opcode>(o);
+    words.push_back(encode({.op = op, .rd = 5, .rs1 = 17, .rs2 = 40,
+                            .imm = -123456, .secure = is_cond_branch(op)}));
+    words.push_back(encode({.op = op, .rd = 47, .rs1 = 0, .rs2 = 31,
+                            .imm = INT32_MAX, .secure = true}));
+  }
+  const usize num_valid = words.size();
+  const u64 good = encode({.op = Opcode::kAdd, .rd = 1, .rs1 = 2, .rs2 = 3});
+  words.push_back(bits_set(good, 0, 8, 0xff));         // bad opcode byte
+  words.push_back(bits_set(good, 0, 8, kNumOpcodes));  // first unused opcode
+  words.push_back(good | (1ull << 27));                // reserved bit, low
+  words.push_back(good | (1ull << 31));                // reserved bit, high
+  words.push_back(bits_set(good, 9, 6, 48));           // bad rd
+  words.push_back(bits_set(good, 15, 6, 63));          // bad rs1
+  words.push_back(bits_set(good, 21, 6, 50));          // bad rs2
+
+  const Program p(kCodeBase, words, {});
+  usize rejected = 0;
+  for (usize i = 0; i < words.size(); ++i) {
+    const std::string want = decode_error(words[i]);
+    if (want.empty()) {
+      EXPECT_EQ(p.fetch(p.pc_of(i)), decode(words[i])) << "word " << i;
+      continue;
+    }
+    ++rejected;
+    for (int twice = 0; twice < 2; ++twice) {  // marked, not forgotten
+      try {
+        p.fetch(p.pc_of(i));
+        ADD_FAILURE() << "word " << i << " fetched without error";
+      } catch (const SimError& e) {
+        EXPECT_EQ(std::string(e.what()), want) << "word " << i;
+      }
+    }
+  }
+  EXPECT_EQ(rejected, words.size() - num_valid);
+}
+
+// An invalid word that is never executed does not stop the program.
+TEST(Program, UnexecutedInvalidWordRunsToHalt) {
+  const std::vector<u64> words = {
+      encode({.op = Opcode::kLimm, .rd = 1, .imm = 7}),
+      encode({.op = Opcode::kJal, .rd = 0, .imm = 3 * i64{kInstrBytes}}),
+      0xff,                                                   // bad opcode
+      bits_set(encode({.op = Opcode::kNop}), 9, 6, 60),       // bad rd
+      encode({.op = Opcode::kHalt}),
+  };
+  const Program p(kCodeBase, words, {});
+  mem::MainMemory memory;
+  cpu::FunctionalCore core(&p, &memory);
+  EXPECT_EQ(core.run_to_halt(), 3u);
+  EXPECT_EQ(core.state().get_int(1), 7);
 }
 
 TEST(Program, DisassembleListsAllInstructions) {
