@@ -137,7 +137,7 @@ std::vector<std::string> audited_specs() {
   return specs;
 }
 
-/// The leakage and tenants audit budget: SEMPE_AUDIT_SAMPLES secret
+/// The leakage, lint and tenants audit budget: SEMPE_AUDIT_SAMPLES secret
 /// vectors; SEMPE_STAT_SAMPLES (>= 2) turns on the statistical tier
 /// (security/stat_audit.h) with that many samples per secret class, and
 /// SEMPE_STAT_BUDGET caps the adaptive driver's total sample pairs.
@@ -147,6 +147,12 @@ security::AuditOptions audit_options(usize default_samples) {
   opt.stat_samples = sim::env_usize("SEMPE_STAT_SAMPLES", 0);
   opt.stat_budget = sim::env_usize("SEMPE_STAT_BUDGET", 0);
   return opt;
+}
+
+/// The leakage grid, swept by the leakage report and viewed by the lint
+/// report.
+std::vector<sim::LeakageJob> audit_grid() {
+  return sim::leakage_grid(audited_specs(), audit_options(8));
 }
 
 /// The synthetic and scenarios view: per spec, the SeMPE and CTE
@@ -499,9 +505,8 @@ const Report kReports[] = {
     // SeMPE gate stays the exact-equality tier.
     {"leakage", "security audit: every workload x secret space x all modes",
      [](ReportRun& r) {
-       const std::vector<std::string> specs = audited_specs();
-       return sweep_report(r, sim::leakage_grid(specs, audit_options(8)),
-                           sim::run_leakage_sweep, sim::leakage_json,
+       return sweep_report(r, audit_grid(), sim::run_leakage_sweep,
+                           sim::leakage_json,
                            [](auto* out, auto&, auto& run) {
          bool all_ok = true;
          for (const auto& pt : run.points) {
@@ -534,10 +539,11 @@ const Report kReports[] = {
          return all_ok;
        });
      }},
-    // Static taint lint — the leakage report's workloads linted under the
-    // legacy/SeMPE/CTE policies (security/taint_lint.h) and cross-checked
-    // against the dynamic leakage audit (sim::measure_lint). This is the
-    // gate for the constant-time discipline: the exit status is nonzero if
+    // Static taint lint — a view over the leakage report's sweep: each
+    // workload linted under the legacy/SeMPE/CTE policies
+    // (security/taint_lint.h) and cross-checked against its dynamic audit
+    // (sim::lint_point). This is the gate for the constant-time
+    // discipline: the exit status is nonzero if
     //
     //   - any workload is statically clean but dynamically distinguishable
     //     (the lint missed a real channel — a soundness bug),
@@ -550,13 +556,13 @@ const Report kReports[] = {
     // print as warnings and do not gate.
     {"lint", "static taint lint, cross-checked against the audit",
      [](ReportRun& r) {
-       const std::vector<std::string> specs = audited_specs();
-       security::AuditOptions opt;
-       opt.samples = sim::env_usize("SEMPE_AUDIT_SAMPLES", 8);
-       return sweep_report(r, sim::lint_grid(specs, opt), sim::run_lint_sweep,
-                           sim::lint_json, [](auto* out, auto&, auto& run) {
+       return sweep_report(r, audit_grid(), sim::run_leakage_sweep,
+                           sim::lint_json,
+                           [](auto* out, auto& jobs, auto& run) {
          bool all_ok = true;
-         for (const auto& pt : run.points) {
+         for (usize k = 0; k < run.points.size(); ++k) {
+           const sim::LintPoint pt =
+               sim::lint_point(jobs[run.indices[k]], run.points[k]);
            const security::WorkloadLint& l = pt.lint;
            all_ok = all_ok && pt.ok();
            std::fprintf(out,
@@ -637,7 +643,7 @@ void print_usage(const char* argv0) {
                "usage: %s REPORT [--threads=N] [--json[=FILE]] "
                "[--trace-out=FILE]\n"
                "          [--metrics-out=FILE] [--progress] [--jobs=REGEX]\n"
-               "          [--shard=i/N] [--cache-dir=DIR] [--journal=FILE]\n"
+               "          [--shard=i/N] [--cache-dir=DIR]\n"
                "reports:\n",
                argv0);
   for (const Report& r : kReports)
@@ -651,8 +657,8 @@ void print_usage(const char* argv0) {
                "  --progress       stderr progress meter (done/total, ETA)\n"
                "  --jobs=REGEX     run only jobs whose label matches REGEX\n"
                "  --shard=i/N      run shard i of N (merge with sempe_merge)\n"
-               "  --cache-dir=D    reuse and store results under D\n"
-               "  --journal=F      append results to F; rerun to resume\n"
+               "  --cache-dir=D    reuse and store results under D; rerun to "
+               "resume\n"
                "env: SEMPE_BENCH_ITERS, SEMPE_DJPEG_SCALE size the workloads;\n"
                "     SEMPE_AUDIT_SAMPLES, SEMPE_STAT_SAMPLES, "
                "SEMPE_STAT_BUDGET the audits\n");

@@ -18,7 +18,7 @@
 //
 // --audit runs as a one-job sweep through sim/batch_runner.h, so it also
 // accepts the shared orchestration flags — --json[=F], --cache-dir=D,
-// --journal=F, --jobs=REGEX, --shard=i/N, --threads=N — with exactly the
+// --jobs=REGEX, --shard=i/N, --threads=N — with exactly the
 // `sempe_bench leakage` semantics (a warm cache replays the stored audit;
 // --shard or --jobs may leave the single job to another invocation). The
 // other modes run one simulation directly and reject those flags.
@@ -74,8 +74,7 @@ void print_usage(const char* argv0) {
                "(chrome://tracing timeline)\nand --metrics-out=FILE "
                "(structured metric report)\n"
                "--audit also accepts the shared sweep flags: --json[=FILE] "
-               "--cache-dir=DIR\n--journal=FILE --jobs=REGEX --shard=i/N "
-               "--threads=N\n"
+               "--cache-dir=DIR\n--jobs=REGEX --shard=i/N --threads=N\n"
                "a ready-made assembly input lives at examples/demo.s, e.g.:\n"
                "  %s examples/demo.s --timeline\n"
                "registered workloads (SPEC is name or name?key=val&...):\n",
@@ -181,7 +180,7 @@ int run_audit(const std::string& spec_text, const security::AuditOptions& base,
   security::AuditOptions opt = base;
   opt.progress = cli.progress;
   // The audit is a one-job sweep through the shared orchestration path,
-  // which is what makes --cache-dir / --journal / --shard / --jobs work
+  // which is what makes --cache-dir / --shard / --jobs work
   // here: a warm cache replays the stored WorkloadAudit verbatim.
   auto jobs = sim::leakage_grid({spec_text}, opt);
   sim::apply_job_filter(jobs, cli);
@@ -271,7 +270,7 @@ int run_assembly(const char* path, cpu::ExecMode mode, bool timeline,
 
 int main(int argc, char** argv) {
   // The shared sweep/observability flags (--threads, --json, --trace-out,
-  // --metrics-out, --progress, --shard, --cache-dir, --journal, --jobs,
+  // --metrics-out, --progress, --shard, --cache-dir, --jobs,
   // --help) are stripped out of argv by the batch-runner parser; the loop
   // below owns only the sempe_run-specific flags.
   const sim::BatchCli cli = sim::parse_batch_cli(argc, argv);
@@ -351,13 +350,12 @@ int main(int argc, char** argv) {
 
   // The shared sweep flags only make sense for --audit, the one mode that
   // dispatches through the batch runner.
-  const char* sweep_flag = cli.want_json          ? "--json"
-                           : cli.threads != 0      ? "--threads"
-                           : cli.shard_count != 1  ? "--shard"
-                           : !cli.cache_dir.empty() ? "--cache-dir"
-                           : !cli.journal_path.empty() ? "--journal"
-                           : !cli.jobs_regex.empty()   ? "--jobs"
-                                                       : nullptr;
+  const char* sweep_flag = cli.want_json              ? "--json"
+                           : cli.threads != 0         ? "--threads"
+                           : cli.shard_count != 1     ? "--shard"
+                           : !cli.cache_dir.empty()   ? "--cache-dir"
+                           : !cli.jobs_regex.empty()  ? "--jobs"
+                                                      : nullptr;
 
   if (list) {
     if (argc > 2 || sweep_flag != nullptr || cli.progress ||

@@ -123,7 +123,7 @@ DynOp FunctionalCore::step() {
                   "instruction limit exceeded (runaway program?)");
 
   const Addr pc = state_.pc;
-  const Instruction ins = prog_->fetch(pc);
+  const Instruction ins = prog_->fetch_to_execute(pc);
   if (on_fetch) on_fetch(pc);
 
   DynOp op;

@@ -125,6 +125,38 @@ Instruction decode(u64 word) {
   return ins;
 }
 
+std::optional<Reg> misclassed_operand(const Instruction& ins) {
+  const OpInfo& info = op_info(ins.op);
+  // Which operands are FP; every other operand an opcode uses is integer.
+  bool fp_rd = false, fp_rs1 = false, fp_rs2 = false;
+  switch (ins.op) {
+    case Opcode::kFadd:
+    case Opcode::kFsub:
+    case Opcode::kFmul:
+    case Opcode::kFdiv:
+      fp_rd = fp_rs1 = fp_rs2 = true;
+      break;
+    case Opcode::kFmov:
+      fp_rd = fp_rs1 = true;
+      break;
+    case Opcode::kI2f:
+      fp_rd = true;
+      break;
+    case Opcode::kF2i:
+      fp_rs1 = true;
+      break;
+    default:
+      break;
+  }
+  const auto wrong = [](bool used, bool fp, Reg r) {
+    return used && (fp ? !is_fp_reg(r) : !is_int_reg(r));
+  };
+  if (wrong(info.uses_rs1, fp_rs1, ins.rs1)) return ins.rs1;
+  if (wrong(info.uses_rs2, fp_rs2, ins.rs2)) return ins.rs2;
+  if (wrong(info.uses_rd, fp_rd, ins.rd)) return ins.rd;
+  return std::nullopt;
+}
+
 std::string Instruction::to_string() const {
   const OpInfo& info = op_info(op);
   std::ostringstream os;

@@ -16,6 +16,7 @@
 // compatibility property of Section IV-C.
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "isa/opcode.h"
@@ -59,5 +60,12 @@ DecodeStatus try_decode(u64 word, Instruction& out);
 /// Decode a 64-bit machine word. Throws SimError on an invalid opcode,
 /// register index, or nonzero reserved bits.
 Instruction decode(u64 word);
+
+/// The first register operand `ins.op` reads or writes whose class is
+/// wrong for it: an FP register where the opcode takes an integer one
+/// (f1 in `add x1, f1, x2`), or the reverse. nullopt when every operand
+/// the opcode uses has its class. Such a word decodes, but executing it
+/// is a malformed-program error.
+std::optional<Reg> misclassed_operand(const Instruction& ins);
 
 }  // namespace sempe::isa

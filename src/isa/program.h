@@ -4,8 +4,11 @@
 // indexes, so executing an instruction costs no bit extraction or field
 // checks. A word that does not decode is only marked there: the program
 // still builds, and fetch() of that word raises decode()'s SimError, only
-// when (and every time) that word is fetched. A Program is immutable after
-// construction.
+// when (and every time) that word is fetched. A word that decodes but
+// names a register of the wrong class (misclassed_operand) is marked the
+// same way: fetch() returns it, so whole-program analyses still read it,
+// while fetch_to_execute() raises a SimError naming the pc, the
+// instruction and the operand. A Program is immutable after construction.
 #pragma once
 
 #include <string>
@@ -49,8 +52,9 @@ class Program {
         allocs_(std::move(allocs)) {
     decoded_.resize(code_.size());
     for (usize i = 0; i < code_.size(); ++i)
-      if (try_decode(code_[i], decoded_[i]) != DecodeStatus::kOk)
-        decoded_[i] = Instruction{.op = kUndecodable};
+      if (try_decode(code_[i], decoded_[i]) != DecodeStatus::kOk ||
+          misclassed_operand(decoded_[i]))
+        decoded_[i] = Instruction{.op = kMarked};
   }
 
   Addr code_base() const { return code_base_; }
@@ -84,11 +88,19 @@ class Program {
   /// code segment (the simulated machine has no self-modifying code), or
   /// decode()'s SimError if the word at pc does not decode.
   Instruction fetch(Addr pc) const {
-    SEMPE_CHECK_MSG(contains(pc), "instruction fetch outside code segment at 0x"
-                                      << std::hex << pc);
-    const usize i = (pc - code_base_) / kInstrBytes;
-    if (decoded_[i].op == kUndecodable) [[unlikely]]
-      return decode(code_[i]);  // throws
+    const usize i = index_of(pc);
+    if (decoded_[i].op == kMarked) [[unlikely]]
+      return decode(code_[i]);  // throws unless only a class is wrong
+    return decoded_[i];
+  }
+
+  /// fetch() for execution, at the same cost: also raises a SimError
+  /// naming the pc, the instruction and the operand when the word misuses
+  /// a register class (e.g. `add x1, f1, x2`).
+  Instruction fetch_to_execute(Addr pc) const {
+    const usize i = index_of(pc);
+    if (decoded_[i].op == kMarked) [[unlikely]]
+      reject_marked(pc);
     return decoded_[i];
   }
 
@@ -96,12 +108,21 @@ class Program {
   std::string disassemble() const;
 
  private:
-  /// Marks a decoded_ slot whose word does not decode.
-  static constexpr Opcode kUndecodable = Opcode::kCount;
+  /// Marks a decoded_ slot whose word does not decode or misuses a
+  /// register class.
+  static constexpr Opcode kMarked = Opcode::kCount;
+
+  usize index_of(Addr pc) const {
+    SEMPE_CHECK_MSG(contains(pc), "instruction fetch outside code segment at 0x"
+                                      << std::hex << pc);
+    return (pc - code_base_) / kInstrBytes;
+  }
+  /// Throws the SimError of the marked word at pc.
+  [[noreturn, gnu::cold]] void reject_marked(Addr pc) const;
 
   Addr code_base_ = kCodeBase;
   std::vector<u64> code_;
-  std::vector<Instruction> decoded_;  // decode(code_[i]), or kUndecodable
+  std::vector<Instruction> decoded_;  // decode(code_[i]), or kMarked
   std::vector<DataSegment> data_;
   std::vector<Allocation> allocs_;
 };

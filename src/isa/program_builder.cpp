@@ -121,6 +121,17 @@ Program ProgramBuilder::build() {
                  std::move(allocs_));
 }
 
+void Program::reject_marked(Addr pc) const {
+  const Instruction ins = decode(code_[index_of(pc)]);  // throws if invalid
+  const std::optional<Reg> r = misclassed_operand(ins);
+  SEMPE_CHECK(r.has_value());
+  std::ostringstream os;
+  os << "pc 0x" << std::hex << pc << ": '" << ins.to_string() << "' uses "
+     << reg_name(*r) << " where it takes "
+     << (is_fp_reg(*r) ? "an integer" : "an FP") << " register";
+  throw SimError(os.str());
+}
+
 std::string Program::disassemble() const {
   std::ostringstream os;
   for (usize i = 0; i < code_.size(); ++i) {

@@ -30,8 +30,8 @@
 //
 // Everything here is deterministic given the audit seed: the same job
 // produces bit-identical t statistics on any thread count, which is what
-// lets the statistics ride the sweep cache/journal byte-identity
-// contract (sim/sweep_codec.h).
+// lets the statistics ride the sweep cache's byte-identity contract
+// (sim/sweep_codec.h).
 #pragma once
 
 #include <map>

@@ -5,7 +5,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <optional>
 #include <string_view>
 
@@ -179,9 +178,10 @@ usize resolve_threads(usize requested, usize jobs) {
 namespace {
 
 /// The orchestrated sweep shared by every job family: shard selection,
-/// journal/cache resolution of each selected job (single-threaded, so the
+/// cache resolution of each selected job (single-threaded, so the
 /// CacheStats accounting is deterministic), then parallel execution of
-/// whatever could not be resolved, with write-back as each job retires.
+/// whatever could not be resolved, with write-back as each job retires —
+/// which is also what lets a killed sweep resume from the cache.
 template <typename Job, typename Point, typename MeasureFn, typename DecodeFn>
 SweepRun<Point> run_sweep_impl(const std::vector<Job>& jobs,
                                const SweepOptions& opt, MeasureFn measure,
@@ -200,8 +200,7 @@ SweepRun<Point> run_sweep_impl(const std::vector<Job>& jobs,
     run.indices.push_back(i);
   const usize n = run.indices.size();
 
-  const bool persist = !opt.cache_dir.empty() || !opt.journal_path.empty();
-  if (!persist) {
+  if (opt.cache_dir.empty()) {
     run.points = run_indexed_labeled(
         n, opt.threads,
         [&](usize k) { return measure(jobs[run.indices[k]]); },
@@ -211,68 +210,39 @@ SweepRun<Point> run_sweep_impl(const std::vector<Job>& jobs,
 
   const std::string fingerprint =
       opt.fingerprint.empty() ? code_fingerprint() : opt.fingerprint;
-  std::unique_ptr<SweepCache> cache;
-  if (!opt.cache_dir.empty())
-    cache = std::make_unique<SweepCache>(opt.cache_dir, fingerprint);
-  std::unique_ptr<SweepJournal> journal;
-  if (!opt.journal_path.empty())
-    journal = std::make_unique<SweepJournal>(opt.journal_path);
+  const SweepCache cache(opt.cache_dir, fingerprint);
 
-  // Planning pass: resolve each selected job from the journal first (the
-  // resume path), then the cache. Every unresolved job is counted exactly
-  // once as miss, stale, or corrupt.
+  // Planning pass: resolve each selected job from the cache. Every
+  // unresolved job is counted exactly once as miss, stale, or corrupt.
   run.points.resize(n);
   std::vector<std::string> keys(n);
   std::vector<usize> pending;  // positions into run.indices / run.points
   for (usize k = 0; k < n; ++k) {
     keys[k] = job_cache_key(jobs[run.indices[k]], fingerprint);
-    bool counted = false;
-    if (journal != nullptr) {
-      if (const std::string* blob = journal->find(keys[k])) {
-        try {
-          run.points[k] = decode(*blob);
-          ++run.cache.journal_hits;
-          continue;
-        } catch (const SimError&) {
-          ++run.cache.corrupt;
-          counted = true;
-        }
+    const SweepCache::Lookup hit = cache.lookup(keys[k]);
+    if (hit.status == SweepCache::Status::kHit) {
+      try {
+        run.points[k] = decode(hit.blob);
+        ++run.cache.hits;
+        continue;
+      } catch (const SimError&) {
+        ++run.cache.corrupt;
       }
+    } else if (hit.status == SweepCache::Status::kStale) {
+      ++run.cache.stale;
+    } else {
+      ++run.cache.misses;
     }
-    if (cache != nullptr) {
-      const SweepCache::Lookup hit = cache->lookup(keys[k]);
-      if (hit.status == SweepCache::Status::kHit) {
-        try {
-          Point p = decode(hit.blob);
-          ++run.cache.hits;
-          // Mirror the hit into the journal so a later kill + resume
-          // replays it even if the cache has been pruned meanwhile.
-          if (journal != nullptr && !journal->contains(keys[k]))
-            journal->append(keys[k], hit.blob);
-          run.points[k] = std::move(p);
-          continue;
-        } catch (const SimError&) {
-          if (!counted) ++run.cache.corrupt;
-          counted = true;
-        }
-      } else if (hit.status == SweepCache::Status::kStale) {
-        if (!counted) ++run.cache.stale;
-        counted = true;
-      }
-    }
-    if (!counted) ++run.cache.misses;
     pending.push_back(k);
   }
-  if (cache != nullptr) run.cache.stores = pending.size();
+  run.cache.stores = pending.size();
 
   auto executed = run_indexed_labeled(
       pending.size(), opt.threads,
       [&](usize j) {
         const usize k = pending[j];
         Point p = measure(jobs[run.indices[k]]);
-        const std::string blob = encode_point(p);
-        if (cache != nullptr) cache->store(keys[k], blob);
-        if (journal != nullptr) journal->append(keys[k], blob);
+        cache.store(keys[k], encode_point(p));
         return p;
       },
       [&](usize j) { return jobs[run.indices[pending[j]]].label; });
@@ -281,10 +251,9 @@ SweepRun<Point> run_sweep_impl(const std::vector<Job>& jobs,
 
   std::fprintf(stderr,
                "sweep: %zu job(s): %" PRIu64 " cache hit(s), %" PRIu64
-               " journal hit(s), %" PRIu64 " stale, %" PRIu64
-               " corrupt, %zu executed\n",
-               n, run.cache.hits, run.cache.journal_hits, run.cache.stale,
-               run.cache.corrupt, pending.size());
+               " stale, %" PRIu64 " corrupt, %zu executed\n",
+               n, run.cache.hits, run.cache.stale, run.cache.corrupt,
+               pending.size());
   obs::Session* const os = obs::session();
   if (os != nullptr && os->metrics_enabled()) {
     auto& m = os->metrics().local();
@@ -293,8 +262,6 @@ SweepRun<Point> run_sweep_impl(const std::vector<Job>& jobs,
     m.add("sweep.cache_stale", run.cache.stale);
     m.add("sweep.cache_corrupt", run.cache.corrupt);
     m.add("sweep.cache_stores", run.cache.stores);
-    m.add("sweep.journal_hits", run.cache.journal_hits);
-    if (journal != nullptr) m.add("sweep.journal_replayed", journal->replayed());
   }
   return run;
 }
@@ -323,14 +290,6 @@ SweepRun<LeakagePoint> run_leakage_sweep(const std::vector<LeakageJob>& jobs,
       jobs, opt,
       [](const LeakageJob& j) { return measure_leakage(j.spec, j.opt); },
       decode_leakage_point);
-}
-
-SweepRun<LintPoint> run_lint_sweep(const std::vector<LintJob>& jobs,
-                                   const SweepOptions& opt) {
-  return run_sweep_impl<LintJob, LintPoint>(
-      jobs, opt,
-      [](const LintJob& j) { return measure_lint(j.spec, j.opt); },
-      decode_lint_point);
 }
 
 std::string microbench_spec(workloads::Kind kind, usize width, usize iters) {
@@ -404,11 +363,6 @@ std::vector<WorkloadJob> workload_grid(const std::vector<std::string>& specs,
 std::vector<LeakageJob> leakage_grid(const std::vector<std::string>& specs,
                                      const security::AuditOptions& opt) {
   return spec_grid<LeakageJob>(specs, opt);
-}
-
-std::vector<LintJob> lint_grid(const std::vector<std::string>& specs,
-                               const security::AuditOptions& opt) {
-  return spec_grid<LintJob>(specs, opt);
 }
 
 const std::vector<workloads::Kind>& all_kinds() {
@@ -649,11 +603,84 @@ std::string tenant_json(const std::string& experiment,
   return out;
 }
 
+namespace {
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& l : lines) {
+    if (!out.empty()) out += "; ";
+    out += l;
+  }
+  return out;
+}
+
+}  // namespace
+
+std::string LintPoint::failure_summary() const { return join_lines(failures); }
+std::string LintPoint::warning_summary() const { return join_lines(warnings); }
+
+LintPoint lint_point(const LeakageJob& job, const LeakagePoint& point) {
+  const security::WorkloadAudit& audit = point.audit;
+  LintPoint pt;
+  pt.lint = security::lint_workload(job.spec);
+
+  // Pair each lint verdict with the audit of the matching binary/core
+  // combination. `variant` names the pair in diagnostics.
+  struct Pair {
+    const char* variant;
+    const security::LintResult* lint;
+    const security::ModeAudit* audit;
+  };
+  std::vector<Pair> pairs = {
+      {"natural/legacy", &pt.lint.natural_legacy, audit.mode("legacy")},
+      {"natural/sempe", &pt.lint.natural_sempe, audit.mode("sempe")},
+  };
+  if (pt.lint.has_cte)
+    pairs.push_back({"cte/legacy", &pt.lint.cte, audit.mode("cte")});
+
+  for (const Pair& p : pairs) {
+    const bool leaks = p.audit != nullptr && !p.audit->indistinguishable();
+    if (p.lint->clean() && leaks) {
+      // The analysis claimed constant-time but the simulator observed a
+      // secret-dependent channel: an unsound lint, the one failure mode a
+      // static tool must never have.
+      pt.failures.push_back(std::string(p.variant) +
+                            ": statically clean but dynamically "
+                            "distinguishable (" +
+                            p.audit->open_channels() + ")");
+    } else if (!p.lint->clean() && p.audit != nullptr && !leaks) {
+      // Conservative over-approximation (or a channel the sampled audit
+      // missed): report, don't fail — see synthetic.ibr under kSempe.
+      pt.warnings.push_back(std::string(p.variant) + ": " +
+                            std::to_string(p.lint->findings.size()) +
+                            " static finding(s) but dynamically "
+                            "indistinguishable over " +
+                            std::to_string(audit.masks.size()) + " samples");
+    }
+  }
+
+  // The CTE discipline: provably clean, for all secret values at once.
+  if (pt.lint.has_cte && !pt.lint.cte.clean())
+    pt.failures.push_back("cte variant has " +
+                          std::to_string(pt.lint.cte.findings.size()) +
+                          " static finding(s); constant-time code must "
+                          "lint clean");
+
+  // Seed sanity: every harnessed workload branches on its secrets, so a
+  // clean natural/legacy lint means the taint never reached the branch —
+  // a lost-seed or lost-propagation bug, not a secure workload.
+  if (pt.lint.secret_width > 0 && pt.lint.natural_legacy.clean())
+    pt.failures.push_back(
+        "secret_width > 0 but the natural variant lints clean under the "
+        "legacy policy (lint lost the taint)");
+
+  return pt;
+}
+
 std::string lint_json(const std::string& experiment,
-                      const std::vector<LintJob>& jobs,
-                      const SweepRun<LintPoint>& run) {
+                      const std::vector<LeakageJob>& jobs,
+                      const SweepRun<LeakagePoint>& run) {
   const SweepView view = sweep_view(run, jobs.size());
-  const std::vector<LintPoint>& points = run.points;
   // Findings serialize compactly as "0x<pc>:<kind>" CSV — the PCs are the
   // pinned part; details stay in the human report.
   const auto findings_csv = [](const security::LintResult& r) {
@@ -666,10 +693,12 @@ std::string lint_json(const std::string& experiment,
   };
   std::string out = json_header(experiment, distinct_generators(jobs),
                                 "legacy,sempe,cte", view);
-  for (usize i = 0; i < points.size(); ++i) {
-    const LintPoint& p = points[i];
+  for (usize i = 0; i < run.points.size(); ++i) {
+    const LeakageJob& job = jobs[view.global(i)];
+    const security::WorkloadAudit& audit = run.points[i].audit;
+    const LintPoint p = lint_point(job, run.points[i]);
     begin_point(out, view, i);
-    append_kv_s(out, "label", jobs[view.global(i)].label);
+    append_kv_s(out, "label", job.label);
     append_kv_s(out, "spec", p.lint.spec);
     append_kv_u64(out, "secret_width", p.lint.secret_width);
     append_kv_u64(out, "has_cte", p.lint.has_cte ? 1 : 0);
@@ -686,13 +715,13 @@ std::string lint_json(const std::string& experiment,
     append_kv_s(out, "cte_finding_pcs", findings_csv(p.lint.cte));
     // The dynamic half of the cross-check, for auditability of the verdict.
     for (const char* mode : {"legacy", "sempe", "cte"}) {
-      const security::ModeAudit* m = p.audit.mode(mode);
+      const security::ModeAudit* m = audit.mode(mode);
       const std::string k = std::string(mode) + "_distinguishable";
       append_kv_u64(out, k.c_str(),
                     (m != nullptr && !m->indistinguishable()) ? 1 : 0);
     }
-    append_kv_u64(out, "audit_samples", p.audit.masks.size(), /*last=*/true);
-    out += i + 1 == points.size() ? "    }\n" : "    },\n";
+    append_kv_u64(out, "audit_samples", audit.masks.size(), /*last=*/true);
+    out += i + 1 == run.points.size() ? "    }\n" : "    },\n";
   }
   json_footer(out);
   return out;
@@ -769,12 +798,6 @@ BatchCli parse_batch_cli(int& argc, char** argv) {
         cli.ok = false;
         cli.error = a;
       }
-    } else if (!std::strncmp(a, "--journal=", 10)) {
-      cli.journal_path = a + 10;
-      if (cli.journal_path.empty()) {
-        cli.ok = false;
-        cli.error = a;
-      }
     } else if (!std::strncmp(a, "--jobs=", 7)) {
       cli.jobs_regex = a + 7;
       if (cli.jobs_regex.empty()) {
@@ -808,7 +831,6 @@ SweepOptions sweep_options(const BatchCli& cli) {
   opt.shard.index = cli.shard_index;
   opt.shard.count = cli.shard_count;
   opt.cache_dir = cli.cache_dir;
-  opt.journal_path = cli.journal_path;
   return opt;
 }
 

@@ -8,15 +8,15 @@
 // index, which makes the output ordering — and any JSON serialization of
 // it — byte-identical regardless of thread count.
 //
-// Four job families share that one orchestrated sweep, and every job names
-// a registry spec (workloads/registry.h), so each figure has one build
-// path and one measurement path:
+// Three job families share that one orchestrated sweep, and every job
+// names a registry spec (workloads/registry.h), so each figure has one
+// build path and one measurement path:
 //   workload    measure_workload — fig8/fig9 (djpeg), synthetic, scenarios
 //   microbench  a workload point plus its two ideal runs — fig10a/fig10b,
 //               table1/table2, ablation
-//   leakage     the secret-space audit — leakage, tenants
-//   lint        the static lint checked against the audit — lint
-// djpeg_json and tenant_json are report views, not families.
+//   leakage     the secret-space audit — leakage, lint, tenants
+// djpeg_json, tenant_json and lint_json are report views, not families:
+// they read a family's points differently and share its cache entries.
 //
 // The sempe_bench reports (bench/sempe_bench.cpp) all dispatch their sweeps
 // through this driver and share the same CLI surface:
@@ -28,9 +28,8 @@
 //   --progress       stderr progress meter (jobs done/total, ETA)
 //   --jobs=REGEX     keep only jobs whose label matches REGEX
 //   --shard=i/N      run shard i of a deterministic N-way partition
-//   --cache-dir=D    content-addressed result cache (sim/sweep_cache.h)
-//   --journal=F      append-only result journal; rerun to resume a
-//                    killed sweep
+//   --cache-dir=D    content-addressed result cache (sim/sweep_cache.h);
+//                    rerun on the same D to resume a killed sweep
 //
 // The observability flags feed the src/obs/ session the driver installs
 // around each sweep; none of them perturb the deterministic --json
@@ -57,6 +56,7 @@
 #include <vector>
 
 #include "obs/report.h"
+#include "security/taint_lint.h"
 #include "sim/experiment.h"
 #include "sim/sweep_cache.h"
 #include "util/clock.h"
@@ -194,17 +194,9 @@ struct LeakageJob {
   security::AuditOptions opt{};
 };
 
-/// One workload spec statically linted and cross-checked against the
-/// dynamic leakage audit (see measure_lint).
-struct LintJob {
-  std::string label;  // e.g. "synthetic.cond_branch"
-  std::string spec;   // e.g. "synthetic.cond_branch?width=3&iters=2"
-  security::AuditOptions opt{};  // for the dynamic cross-check half
-};
-
 // ---------------------------------------------------------------------------
-// Sweep orchestration: shard selection + cache/journal resolution + the
-// parallel execution of whatever is left.
+// Sweep orchestration: shard selection + cache resolution + the parallel
+// execution of whatever is left.
 
 /// Deterministic shard assignment: job i belongs to shard `index` of
 /// `count` iff i % count == index. Round-robin (not contiguous blocks) so
@@ -221,7 +213,6 @@ struct SweepOptions {
   usize threads = 0;         // 0 = all hardware threads
   ShardSpec shard;
   std::string cache_dir;     // content-addressed cache root ("" = off)
-  std::string journal_path;  // append-only result journal ("" = off)
   std::string fingerprint;   // "" = sempe::code_fingerprint()
 };
 
@@ -244,8 +235,6 @@ SweepRun<WorkloadPoint> run_workload_sweep(
     const std::vector<WorkloadJob>& jobs, const SweepOptions& opt);
 SweepRun<LeakagePoint> run_leakage_sweep(const std::vector<LeakageJob>& jobs,
                                          const SweepOptions& opt);
-SweepRun<LintPoint> run_lint_sweep(const std::vector<LintJob>& jobs,
-                                   const SweepOptions& opt);
 
 /// Map a sweep's points back onto the full job grid: result[g] is the
 /// point of job g, or nullptr when job g was not part of this run
@@ -276,8 +265,6 @@ std::vector<WorkloadJob> workload_grid(const std::vector<std::string>& specs,
                                        const MicrobenchOptions& opt);
 std::vector<LeakageJob> leakage_grid(const std::vector<std::string>& specs,
                                      const security::AuditOptions& opt);
-std::vector<LintJob> lint_grid(const std::vector<std::string>& specs,
-                               const security::AuditOptions& opt);
 
 /// The four Fig. 7 microbenchmark kinds.
 const std::vector<workloads::Kind>& all_kinds();
@@ -295,8 +282,8 @@ const std::vector<usize>& djpeg_sizes();
 
 inline constexpr int kResultSchemaVersion = 3;
 
-// One emitter per family, plus the report views tenant_json and
-// djpeg_json. `jobs` is always the FULL job list (shard documents carry
+// One emitter per family, plus the report views lint_json, tenant_json
+// and djpeg_json. `jobs` is always the FULL job list (shard documents carry
 // the same meta header as the unsharded run; labels resolve through
 // run.indices). A sharded run (shard.count > 1) adds a "shard" meta line
 // and a per-point "_index" so sempe_merge can reassemble the unsharded
@@ -310,9 +297,6 @@ std::string workload_json(const std::string& experiment,
 std::string leakage_json(const std::string& experiment,
                          const std::vector<LeakageJob>& jobs,
                          const SweepRun<LeakagePoint>& run);
-std::string lint_json(const std::string& experiment,
-                      const std::vector<LintJob>& jobs,
-                      const SweepRun<LintPoint>& run);
 /// The co-residence report view over a leakage sweep of attack.* specs:
 /// per-point recovery rates per mode, plus the greppable gate flags
 /// (`legacy_recovery_above_chance`, `sempe_at_chance`, `cte_at_chance`)
@@ -326,6 +310,48 @@ std::string tenant_json(const std::string& experiment,
 std::string djpeg_json(const std::string& experiment,
                        const std::vector<WorkloadJob>& jobs,
                        const SweepRun<WorkloadPoint>& run);
+
+/// One row of the static taint lint report: the job's spec linted
+/// (security/taint_lint.h) and cross-checked against the leakage sweep's
+/// dynamic audit of it. The gate semantics:
+///
+///   FAIL  static-clean + dynamic-leak for any variant/mode pair — the
+///         lint missed a real channel the audit observed (soundness bug).
+///   FAIL  the CTE variant has any static finding — the constant-time
+///         discipline must lint provably clean.
+///   FAIL  the workload has secrets (secret_width > 0) but the natural
+///         variant lints clean under the legacy policy — the lint lost
+///         the taint (every harnessed workload branches on its secrets).
+///   WARN  static-dirty + dynamic-clean — conservative over-approximation
+///         (e.g. synthetic.ibr under the SeMPE policy: the region
+///         verifier rejects regions containing indirect calls, but
+///         multi-path execution still closes the observable channel).
+///
+/// Only the exact tier of the audit enters the verdicts, so a leakage
+/// sweep with the statistical tier on yields the same rows.
+struct LintPoint {
+  security::WorkloadLint lint;
+  std::vector<std::string> failures;  // hard gate violations
+  std::vector<std::string> warnings;  // precision caveats, not failures
+
+  bool ok() const { return failures.empty(); }
+  /// "; "-joined failures ("" when ok).
+  std::string failure_summary() const;
+  /// "; "-joined warnings ("" when none).
+  std::string warning_summary() const;
+};
+
+/// Lint `job.spec` and cross-check it against `point`, the leakage sweep's
+/// point of that job. The lint reads the job's spec, not point.audit.spec:
+/// the audit canonicalises the spec to secrets=swept.
+LintPoint lint_point(const LeakageJob& job, const LeakagePoint& point);
+
+/// The static taint lint report view over a leakage sweep: one
+/// lint_point row per point, with the audit's per-mode distinguishable
+/// verdicts and sample count beside the findings.
+std::string lint_json(const std::string& experiment,
+                      const std::vector<LeakageJob>& jobs,
+                      const SweepRun<LeakagePoint>& run);
 
 /// Plain job-ordered point vectors (one point per job, no shard), for
 /// callers that measure points themselves. Same bytes as an unsharded
@@ -350,7 +376,6 @@ struct BatchCli {
   usize shard_index = 0;    // --shard=i/N
   usize shard_count = 1;
   std::string cache_dir;    // --cache-dir=D (empty: cache off)
-  std::string journal_path; // --journal=F (empty: journal off)
   std::string jobs_regex;   // --jobs=REGEX (empty: keep every job)
   bool help = false;
   bool ok = true;           // false: unrecognized argument
@@ -364,8 +389,8 @@ struct BatchCli {
 /// decimal digits (parse_decimal).
 BatchCli parse_batch_cli(int& argc, char** argv);
 
-/// The SweepOptions the CLI flags ask for (threads, shard, cache,
-/// journal; fingerprint left at the build default).
+/// The SweepOptions the CLI flags ask for (threads, shard, cache;
+/// fingerprint left at the build default).
 SweepOptions sweep_options(const BatchCli& cli);
 
 /// std::regex_search of the ECMAScript `pattern` in `label`. Out of line

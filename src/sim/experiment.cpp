@@ -159,82 +159,6 @@ LeakagePoint measure_leakage(const std::string& spec,
   return pt;
 }
 
-namespace {
-
-std::string join_lines(const std::vector<std::string>& lines) {
-  std::string out;
-  for (const std::string& l : lines) {
-    if (!out.empty()) out += "; ";
-    out += l;
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string LintPoint::failure_summary() const { return join_lines(failures); }
-std::string LintPoint::warning_summary() const { return join_lines(warnings); }
-
-LintPoint measure_lint(const std::string& spec,
-                       const security::AuditOptions& opt) {
-  LintPoint pt;
-  pt.lint = security::lint_workload(spec);
-  pt.audit = security::audit_workload(spec, opt);
-
-  // Pair each lint verdict with the audit of the matching binary/core
-  // combination. `variant` names the pair in diagnostics.
-  struct Pair {
-    const char* variant;
-    const security::LintResult* lint;
-    const security::ModeAudit* audit;
-  };
-  std::vector<Pair> pairs = {
-      {"natural/legacy", &pt.lint.natural_legacy, pt.audit.mode("legacy")},
-      {"natural/sempe", &pt.lint.natural_sempe, pt.audit.mode("sempe")},
-  };
-  if (pt.lint.has_cte)
-    pairs.push_back({"cte/legacy", &pt.lint.cte, pt.audit.mode("cte")});
-
-  for (const Pair& p : pairs) {
-    const bool leaks = p.audit != nullptr && !p.audit->indistinguishable();
-    if (p.lint->clean() && leaks) {
-      // The analysis claimed constant-time but the simulator observed a
-      // secret-dependent channel: an unsound lint, the one failure mode a
-      // static tool must never have.
-      pt.failures.push_back(std::string(p.variant) +
-                            ": statically clean but dynamically "
-                            "distinguishable (" +
-                            p.audit->open_channels() + ")");
-    } else if (!p.lint->clean() && p.audit != nullptr && !leaks) {
-      // Conservative over-approximation (or a channel the sampled audit
-      // missed): report, don't fail — see synthetic.ibr under kSempe.
-      pt.warnings.push_back(std::string(p.variant) + ": " +
-                            std::to_string(p.lint->findings.size()) +
-                            " static finding(s) but dynamically "
-                            "indistinguishable over " +
-                            std::to_string(pt.audit.masks.size()) +
-                            " samples");
-    }
-  }
-
-  // The CTE discipline: provably clean, for all secret values at once.
-  if (pt.lint.has_cte && !pt.lint.cte.clean())
-    pt.failures.push_back("cte variant has " +
-                          std::to_string(pt.lint.cte.findings.size()) +
-                          " static finding(s); constant-time code must "
-                          "lint clean");
-
-  // Seed sanity: every harnessed workload branches on its secrets, so a
-  // clean natural/legacy lint means the taint never reached the branch —
-  // a lost-seed or lost-propagation bug, not a secure workload.
-  if (pt.lint.secret_width > 0 && pt.lint.natural_legacy.clean())
-    pt.failures.push_back(
-        "secret_width > 0 but the natural variant lints clean under the "
-        "legacy policy (lint lost the taint)");
-
-  return pt;
-}
-
 usize env_usize(const char* name, usize fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;

@@ -16,7 +16,6 @@
 #pragma once
 
 #include "security/audit.h"
-#include "security/taint_lint.h"
 #include "sim/simulator.h"
 #include "workloads/registry.h"
 
@@ -158,38 +157,6 @@ struct LeakagePoint {
 /// Audit `spec` over `opt.samples` secret vectors (see audit_workload).
 LeakagePoint measure_leakage(const std::string& spec,
                              const security::AuditOptions& opt = {});
-
-/// One registry-resolved workload spec statically linted (the taint lint,
-/// security/taint_lint.h) AND dynamically audited (security/audit.h), with
-/// the two verdicts cross-checked. The gate semantics:
-///
-///   FAIL  static-clean + dynamic-leak for any variant/mode pair — the
-///         lint missed a real channel the audit observed (soundness bug).
-///   FAIL  the CTE variant has any static finding — the constant-time
-///         discipline must lint provably clean.
-///   FAIL  the workload has secrets (secret_width > 0) but the natural
-///         variant lints clean under the legacy policy — the lint lost
-///         the taint (every harnessed workload branches on its secrets).
-///   WARN  static-dirty + dynamic-clean — conservative over-approximation
-///         (e.g. synthetic.ibr under the SeMPE policy: the region
-///         verifier rejects regions containing indirect calls, but
-///         multi-path execution still closes the observable channel).
-struct LintPoint {
-  security::WorkloadLint lint;
-  security::WorkloadAudit audit;
-  std::vector<std::string> failures;  // hard gate violations ("" = pass)
-  std::vector<std::string> warnings;  // precision caveats, not failures
-
-  bool ok() const { return failures.empty(); }
-  /// "; "-joined failures ("" when ok).
-  std::string failure_summary() const;
-  /// "; "-joined warnings ("" when none).
-  std::string warning_summary() const;
-};
-
-/// Lint `spec` statically and audit it dynamically, then cross-check.
-LintPoint measure_lint(const std::string& spec,
-                       const security::AuditOptions& opt = {});
 
 /// Benchmark scaling knobs from the environment (so `make bench` stays
 /// fast by default but full-size runs are one env var away):

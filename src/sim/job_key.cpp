@@ -124,14 +124,4 @@ JobIdentity job_identity(const LeakageJob& job,
   return id;
 }
 
-JobIdentity job_identity(const LintJob& job, const std::string& fingerprint) {
-  JobIdentity id;
-  id.family = kLintFamily;
-  id.spec = canonical_spec_key(job.spec);
-  id.machine = audit_text(job.opt);
-  id.modes = "legacy,sempe,cte";
-  id.fingerprint = fingerprint;
-  return id;
-}
-
 }  // namespace sempe::sim

@@ -1,19 +1,21 @@
 // Content-address job identity for the sweep orchestration subsystem.
 //
-// Every sweep job — any family of sim/batch_runner.h — reduces to a
-// JobIdentity: the canonical workload spec, the result-affecting machine
-// configuration, the mode matrix the family executes, the result schema
-// version, and the build's code fingerprint (util/fingerprint.h). Its FNV
-// hash is the content-address key under which the result is cached
-// (sim/sweep_cache.h) and journaled.
+// Every sweep job — any of the three families of sim/batch_runner.h —
+// reduces to a JobIdentity: the canonical workload spec, the
+// result-affecting machine configuration, the mode matrix the family
+// executes, the result schema version, and the build's code fingerprint
+// (util/fingerprint.h). Its FNV hash is the content-address key under
+// which the result is cached (sim/sweep_cache.h).
 //
 // What the key deliberately EXCLUDES is as load-bearing as what it
 // includes:
 //   - job labels (cosmetic; the JSON emitters take labels from the job
-//     list, never from cached points);
+//     list, never from cached points), so reports that label the same
+//     spec differently — table2's self-check and fig10a's ones/W=2 —
+//     share one entry;
 //   - options the measurement never reads (AuditOptions::progress
 //     steers stderr only);
-//   - thread count, shard assignment, cache/journal paths — the
+//   - thread count, shard assignment, the cache path — the
 //     byte-identity contract says those cannot change results.
 //
 // Spec canonicalization: `name?b=2&a=1` and `name?a=1&b=2` resolve to the
@@ -63,7 +65,6 @@ JobIdentity job_identity(const WorkloadJob& job,
                          const std::string& fingerprint);
 JobIdentity job_identity(const LeakageJob& job,
                          const std::string& fingerprint);
-JobIdentity job_identity(const LintJob& job, const std::string& fingerprint);
 
 /// job_identity(job, fingerprint).key() for any job family.
 template <typename Job>

@@ -1,10 +1,10 @@
 #include "sim/sweep_cache.h"
 
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "util/check.h"
 
@@ -16,10 +16,6 @@ namespace {
 // version is the on-disk framing version, not the result schema version —
 // that one lives inside the job key.
 constexpr const char* kCacheMagic = "sempe-cache 1 ";
-
-// Journal record header: "sempe-journal 1 <key> <blob_bytes>\n" followed
-// by exactly <blob_bytes> blob bytes and a closing newline.
-constexpr const char* kJournalMagic = "sempe-journal 1 ";
 
 std::string read_file(const std::string& path, bool* ok) {
   *ok = false;
@@ -38,9 +34,6 @@ std::string read_file(const std::string& path, bool* ok) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// SweepCache
 
 SweepCache::SweepCache(std::string dir, std::string fingerprint)
     : dir_(std::move(dir)), fingerprint_(std::move(fingerprint)) {
@@ -109,97 +102,6 @@ bool SweepCache::store(const std::string& key, const std::string& blob) const {
     return false;
   }
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// SweepJournal
-
-SweepJournal::SweepJournal(const std::string& path) : path_(path) {
-  // Replay pass: read whatever well-formed record prefix exists. The file
-  // legitimately may not exist yet (fresh sweep).
-  bool ok = false;
-  const std::string text = read_file(path_, &ok);
-  const usize magic_len = std::strlen(kJournalMagic);
-  usize pos = 0;
-  while (ok && pos < text.size()) {
-    const usize eol = text.find('\n', pos);
-    if (eol == std::string::npos ||
-        text.compare(pos, magic_len, kJournalMagic) != 0) {
-      truncated_tail_ = true;
-      break;
-    }
-    const std::string head = text.substr(pos + magic_len, eol - pos - magic_len);
-    const usize sp = head.find(' ');
-    if (sp == std::string::npos) {
-      truncated_tail_ = true;
-      break;
-    }
-    const std::string key = head.substr(0, sp);
-    char* end = nullptr;
-    const unsigned long long len = std::strtoull(head.c_str() + sp + 1, &end, 10);
-    if (end == head.c_str() + sp + 1 || *end != '\0') {
-      truncated_tail_ = true;
-      break;
-    }
-    const usize body = eol + 1;
-    // A complete record carries `len` blob bytes plus the closing newline.
-    if (body + len + 1 > text.size() || text[body + len] != '\n') {
-      truncated_tail_ = true;
-      break;
-    }
-    entries_[key] = text.substr(body, len);
-    pos = body + len + 1;
-  }
-  if (truncated_tail_) {
-    std::fprintf(stderr,
-                 "journal: '%s' ends in a truncated record (killed sweep); "
-                 "replaying %zu complete record(s)\n",
-                 path_.c_str(), entries_.size());
-    // Drop the torn tail before appending: `pos` is the end of the last
-    // well-formed record, and anything appended after the partial bytes
-    // would be unreadable on the next replay.
-    std::error_code ec;
-    std::filesystem::resize_file(path_, pos, ec);
-    if (ec)
-      throw SimError("cannot drop the truncated tail of journal '" + path_ +
-                     "': " + ec.message());
-  }
-
-  file_ = std::fopen(path_.c_str(), "ab");
-  if (file_ == nullptr)
-    throw SimError("cannot open journal '" + path_ + "' for appending");
-}
-
-SweepJournal::~SweepJournal() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-const std::string* SweepJournal::find(const std::string& key) const {
-  const auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second;
-}
-
-bool SweepJournal::contains(const std::string& key) const {
-  return entries_.count(key) != 0;
-}
-
-void SweepJournal::append(const std::string& key, const std::string& blob) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (file_ == nullptr) return;  // an earlier I/O failure disabled appends
-  const std::string head = std::string(kJournalMagic) + key + " " +
-                           std::to_string(blob.size()) + "\n";
-  const bool wrote =
-      std::fwrite(head.data(), 1, head.size(), file_) == head.size() &&
-      std::fwrite(blob.data(), 1, blob.size(), file_) == blob.size() &&
-      std::fputc('\n', file_) != EOF && std::fflush(file_) == 0;
-  if (!wrote) {
-    std::fprintf(stderr,
-                 "journal: write to '%s' failed; further results will not "
-                 "be journaled\n",
-                 path_.c_str());
-    std::fclose(file_);
-    file_ = nullptr;
-  }
 }
 
 }  // namespace sempe::sim

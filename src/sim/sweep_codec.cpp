@@ -223,56 +223,6 @@ security::WorkloadAudit get_audit(const PointReader& r, const std::string& p) {
   return a;
 }
 
-void put_lint_result(PointWriter& w, const std::string& p,
-                     const security::LintResult& lr) {
-  w.put_u64(p + "findings.n", lr.findings.size());
-  for (usize i = 0; i < lr.findings.size(); ++i) {
-    const security::TaintFinding& f = lr.findings[i];
-    const std::string fp = p + "findings." + std::to_string(i) + ".";
-    w.put_u64(fp + "kind", static_cast<u64>(f.kind));
-    w.put_u64(fp + "pc", f.pc);
-    w.put_str(fp + "detail", f.detail);
-  }
-  w.put_u64(p + "passes", lr.passes);
-  w.put_u64(p + "tainted_branches", lr.tainted_branches);
-  w.put_u64(p + "excused_sjmps", lr.excused_sjmps);
-}
-
-security::LintResult get_lint_result(const PointReader& r,
-                                     const std::string& p) {
-  security::LintResult lr;
-  const usize n = r.get_u64(p + "findings.n");
-  for (usize i = 0; i < n; ++i) {
-    security::TaintFinding f;
-    const std::string fp = p + "findings." + std::to_string(i) + ".";
-    f.kind = static_cast<security::TaintKind>(checked_enum(
-        r, fp + "kind",
-        static_cast<u64>(security::TaintKind::kSecretIndirect)));
-    f.pc = r.get_u64(fp + "pc");
-    f.detail = r.get_str(fp + "detail");
-    lr.findings.push_back(std::move(f));
-  }
-  lr.passes = r.get_u64(p + "passes");
-  lr.tainted_branches = r.get_u64(p + "tainted_branches");
-  lr.excused_sjmps = r.get_u64(p + "excused_sjmps");
-  return lr;
-}
-
-void put_string_list(PointWriter& w, const std::string& p,
-                     const std::vector<std::string>& v) {
-  w.put_u64(p + "n", v.size());
-  for (usize i = 0; i < v.size(); ++i)
-    w.put_str(p + std::to_string(i), v[i]);
-}
-
-std::vector<std::string> get_string_list(const PointReader& r,
-                                         const std::string& p) {
-  std::vector<std::string> v;
-  const usize n = r.get_u64(p + "n");
-  for (usize i = 0; i < n; ++i) v.push_back(r.get_str(p + std::to_string(i)));
-  return v;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -375,35 +325,6 @@ LeakagePoint decode_leakage_point(const std::string& blob) {
   const PointReader r(kLeakageFamily, blob);
   LeakagePoint p;
   p.audit = get_audit(r, "audit.");
-  return p;
-}
-
-std::string encode_point(const LintPoint& p) {
-  PointWriter w(kLintFamily);
-  w.put_str("lint.spec", p.lint.spec);
-  w.put_u64("lint.secret_width", p.lint.secret_width);
-  w.put_bool("lint.has_cte", p.lint.has_cte);
-  put_lint_result(w, "lint.natural_legacy.", p.lint.natural_legacy);
-  put_lint_result(w, "lint.natural_sempe.", p.lint.natural_sempe);
-  put_lint_result(w, "lint.cte.", p.lint.cte);
-  put_audit(w, "audit.", p.audit);
-  put_string_list(w, "failures.", p.failures);
-  put_string_list(w, "warnings.", p.warnings);
-  return w.str();
-}
-
-LintPoint decode_lint_point(const std::string& blob) {
-  const PointReader r(kLintFamily, blob);
-  LintPoint p;
-  p.lint.spec = r.get_str("lint.spec");
-  p.lint.secret_width = r.get_u64("lint.secret_width");
-  p.lint.has_cte = r.get_bool("lint.has_cte");
-  p.lint.natural_legacy = get_lint_result(r, "lint.natural_legacy.");
-  p.lint.natural_sempe = get_lint_result(r, "lint.natural_sempe.");
-  p.lint.cte = get_lint_result(r, "lint.cte.");
-  p.audit = get_audit(r, "audit.");
-  p.failures = get_string_list(r, "failures.");
-  p.warnings = get_string_list(r, "warnings.");
   return p;
 }
 

@@ -1,12 +1,13 @@
-// Point (de)serialization for the sweep cache/journal (sim/sweep_cache.h).
+// Point (de)serialization for the sweep cache (sim/sweep_cache.h).
 //
-// Every job family's result struct encodes to a line-oriented text blob
-// and decodes back to an *exactly* equal value — u64s in decimal, doubles
-// in hexfloat (%a, lossless round-trip), strings escaped — because the
-// whole cache contract rests on it: a sweep served from cache or journal
-// must serialize to --json output byte-identical to a fresh run. Decoding
-// throws SimError on any malformed or missing field; the sweep driver
-// treats that as a corrupt entry and re-executes the job.
+// Each of the three job families' result structs (workload, microbench,
+// leakage) encodes to a line-oriented text blob and decodes back to an
+// *exactly* equal value — u64s in decimal, doubles in hexfloat (%a,
+// lossless round-trip), strings escaped — because the whole cache
+// contract rests on it: a sweep served from the cache must serialize to
+// --json output byte-identical to a fresh run. Decoding throws SimError
+// on any malformed or missing field; the sweep driver treats that as a
+// corrupt entry and re-executes the job.
 //
 // The blob opens with "sempe-point 1 <family>" so a key collision across
 // families (or a framing change) fails loudly instead of mis-decoding.
@@ -54,16 +55,13 @@ class PointReader {
 inline constexpr const char* kMicrobenchFamily = "microbench";
 inline constexpr const char* kWorkloadFamily = "workload";
 inline constexpr const char* kLeakageFamily = "leakage";
-inline constexpr const char* kLintFamily = "lint";
 
 std::string encode_point(const MicrobenchPoint& p);
 std::string encode_point(const WorkloadPoint& p);
 std::string encode_point(const LeakagePoint& p);
-std::string encode_point(const LintPoint& p);
 
 MicrobenchPoint decode_microbench_point(const std::string& blob);
 WorkloadPoint decode_workload_point(const std::string& blob);
 LeakagePoint decode_leakage_point(const std::string& blob);
-LintPoint decode_lint_point(const std::string& blob);
 
 }  // namespace sempe::sim

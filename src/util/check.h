@@ -2,7 +2,9 @@
 //
 // Configuration or usage errors (bad machine parameters, malformed programs)
 // throw SimError; internal invariant violations use SEMPE_CHECK, which also
-// throws so that tests can observe them deterministically.
+// throws so that tests can observe them deterministically. A failed check
+// names its source file without the directory (__FILE_NAME__, GCC >= 12
+// and Clang), so the text is the same in every checkout.
 #pragma once
 
 #include <sstream>
@@ -33,7 +35,8 @@ namespace detail {
 #define SEMPE_CHECK(expr)                                               \
   do {                                                                  \
     if (!(expr))                                                        \
-      ::sempe::detail::check_failed(#expr, __FILE__, __LINE__, "");     \
+      ::sempe::detail::check_failed(#expr, __FILE_NAME__, __LINE__,     \
+                                    "");                                \
   } while (0)
 
 #define SEMPE_CHECK_MSG(expr, msg)                                      \
@@ -41,7 +44,7 @@ namespace detail {
     if (!(expr)) {                                                      \
       std::ostringstream sempe_check_os_;                               \
       sempe_check_os_ << msg;                                           \
-      ::sempe::detail::check_failed(#expr, __FILE__, __LINE__,          \
+      ::sempe::detail::check_failed(#expr, __FILE_NAME__, __LINE__,     \
                                     sempe_check_os_.str());             \
     }                                                                   \
   } while (0)

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cpu/functional_core.h"
+#include "isa/assembler.h"
 #include "isa/program_builder.h"
 
 namespace sempe {
@@ -319,6 +320,26 @@ TEST(Control, JalrWrappedTargetFailsToFetch) {
                 std::string::npos)
           << e.what();
     }
+  }
+}
+
+// A word that misuses a register class decodes, so the program builds and
+// fetch() (what whole-program analyses read) returns it; executing it is
+// a SimError that names the pc, the instruction and the operand.
+TEST(Core, RegisterClassMisuseNamesTheInstruction) {
+  const isa::Program prog = isa::assemble("add x1, f1, x2\nhalt\n");
+  EXPECT_EQ(prog.fetch(prog.entry()).op, Opcode::kAdd);
+  mem::MainMemory memory;
+  FunctionalCore core(&prog, &memory);
+  try {
+    core.step();
+    ADD_FAILURE() << "add reading f1 executed";
+  } catch (const SimError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("0x10000"), std::string::npos) << what;
+    EXPECT_NE(what.find("add"), std::string::npos) << what;
+    EXPECT_NE(what.find("f1"), std::string::npos) << what;
+    EXPECT_EQ(what.find('/'), std::string::npos) << what;
   }
 }
 

@@ -134,12 +134,15 @@ TEST(GoldenJson, BenchLintSchemaIsPinned) {
       "synthetic.cond_branch?size=32&width=1&iters=1",
       "synthetic.stream?size=32&width=1&iters=1",
   };
-  const auto jobs = lint_grid(specs, opt);
-  const auto run = run_lint_sweep(jobs, with_threads(1));
+  // The lint report is a view over the leakage sweep.
+  const auto jobs = leakage_grid(specs, opt);
+  const auto run = run_leakage_sweep(jobs, with_threads(1));
   const std::string json = lint_json("lint", jobs, run);
   EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
-  for (const auto& pt : run.points)
+  for (usize k = 0; k < run.points.size(); ++k) {
+    const LintPoint pt = lint_point(jobs[k], run.points[k]);
     EXPECT_TRUE(pt.ok()) << pt.lint.spec << ": " << pt.failure_summary();
+  }
   check_golden("bench_lint.json.golden", normalize_points(json));
 }
 

@@ -195,6 +195,12 @@ TEST(Program, FetchMatchesDecodeWordForWord) {
     const std::string want = decode_error(words[i]);
     if (want.empty()) {
       EXPECT_EQ(p.fetch(p.pc_of(i)), decode(words[i])) << "word " << i;
+      // Execution additionally refuses a register-class misuse.
+      if (misclassed_operand(decode(words[i])))
+        EXPECT_THROW(p.fetch_to_execute(p.pc_of(i)), SimError) << "word " << i;
+      else
+        EXPECT_EQ(p.fetch_to_execute(p.pc_of(i)), decode(words[i]))
+            << "word " << i;
       continue;
     }
     ++rejected;
@@ -210,13 +216,15 @@ TEST(Program, FetchMatchesDecodeWordForWord) {
   EXPECT_EQ(rejected, words.size() - num_valid);
 }
 
-// An invalid word that is never executed does not stop the program.
+// An invalid or misclassed word that is never executed does not stop the
+// program.
 TEST(Program, UnexecutedInvalidWordRunsToHalt) {
   const std::vector<u64> words = {
       encode({.op = Opcode::kLimm, .rd = 1, .imm = 7}),
-      encode({.op = Opcode::kJal, .rd = 0, .imm = 3 * i64{kInstrBytes}}),
+      encode({.op = Opcode::kJal, .rd = 0, .imm = 4 * i64{kInstrBytes}}),
       0xff,                                                   // bad opcode
       bits_set(encode({.op = Opcode::kNop}), 9, 6, 60),       // bad rd
+      encode({.op = Opcode::kAdd, .rd = 1, .rs1 = fp_reg(1)}),  // f1 as int
       encode({.op = Opcode::kHalt}),
   };
   const Program p(kCodeBase, words, {});
@@ -224,6 +232,29 @@ TEST(Program, UnexecutedInvalidWordRunsToHalt) {
   cpu::FunctionalCore core(&p, &memory);
   EXPECT_EQ(core.run_to_halt(), 3u);
   EXPECT_EQ(core.state().get_int(1), 7);
+}
+
+TEST(Instruction, MisclassedOperandFollowsTheOpcode) {
+  const Reg x1 = int_reg(1), x2 = int_reg(2), f1 = fp_reg(1), f2 = fp_reg(2);
+  const auto bad = [](Instruction ins) { return misclassed_operand(ins); };
+  // Every operand of its class: nothing to report.
+  EXPECT_EQ(bad({.op = Opcode::kAdd, .rd = x1, .rs1 = x2, .rs2 = x1}),
+            std::nullopt);
+  EXPECT_EQ(bad({.op = Opcode::kFadd, .rd = f1, .rs1 = f2, .rs2 = f1}),
+            std::nullopt);
+  EXPECT_EQ(bad({.op = Opcode::kI2f, .rd = f1, .rs1 = x2}), std::nullopt);
+  EXPECT_EQ(bad({.op = Opcode::kF2i, .rd = x1, .rs1 = f2}), std::nullopt);
+  // Operands the opcode does not use are never checked.
+  EXPECT_EQ(bad({.op = Opcode::kLimm, .rd = x1, .rs1 = f1, .rs2 = f2}),
+            std::nullopt);
+  EXPECT_EQ(bad({.op = Opcode::kHalt, .rd = f1}), std::nullopt);
+  // The first wrong operand, sources before the destination.
+  EXPECT_EQ(bad({.op = Opcode::kAdd, .rd = x1, .rs1 = f1, .rs2 = x2}), f1);
+  EXPECT_EQ(bad({.op = Opcode::kSt, .rs1 = x1, .rs2 = f2}), f2);
+  EXPECT_EQ(bad({.op = Opcode::kFmul, .rd = x1, .rs1 = f1, .rs2 = f2}), x1);
+  EXPECT_EQ(bad({.op = Opcode::kI2f, .rd = f1, .rs1 = f2}), f2);
+  EXPECT_EQ(bad({.op = Opcode::kF2i, .rd = f1, .rs1 = f2}), f1);
+  EXPECT_EQ(bad({.op = Opcode::kJal, .rd = f1}), f1);
 }
 
 TEST(Program, DisassembleListsAllInstructions) {

@@ -1,10 +1,10 @@
 // The sweep orchestration subsystem: content-address job keys
-// (sim/job_key.h), the on-disk cache and the resume journal
-// (sim/sweep_cache.h), the point codec (sim/sweep_codec.h), shard
-// partitioning and sempe_merge's document merge (sim/sweep_merge.h), and
-// the byte-identity contract that ties them together — a sweep's --json
-// output must not depend on thread count, shard split, cache temperature,
-// or whether the run resumed from a killed journal.
+// (sim/job_key.h), the on-disk cache (sim/sweep_cache.h), the point codec
+// (sim/sweep_codec.h), shard partitioning and sempe_merge's document merge
+// (sim/sweep_merge.h), and the byte-identity contract that ties them
+// together — a sweep's --json output must not depend on thread count,
+// shard split, cache temperature, or whether the run resumed a killed
+// sweep from its cache.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -31,7 +31,6 @@ using sim::BatchCli;
 using sim::JobIdentity;
 using sim::MicrobenchJob;
 using sim::SweepCache;
-using sim::SweepJournal;
 using sim::SweepOptions;
 using workloads::Kind;
 
@@ -240,7 +239,7 @@ TEST(JobKey, KeyIsSixteenHexDigits) {
 }
 
 // ---------------------------------------------------------------------------
-// Cache and journal stores.
+// Cache store.
 
 class SweepStoreTest : public TempDirTest {};
 
@@ -258,35 +257,6 @@ TEST_F(SweepStoreTest, CacheHitMissAndStaleFingerprint) {
   // a recompile must never serve old results.
   const SweepCache other(path("cache"), "fp-B");
   EXPECT_EQ(other.lookup(key).status, SweepCache::Status::kStale);
-}
-
-TEST_F(SweepStoreTest, JournalReplaysItsPrefixAndDetectsTruncation) {
-  const std::string jpath = path("sweep.journal");
-  {
-    SweepJournal j(jpath);
-    EXPECT_EQ(j.replayed(), 0u);
-    j.append("key-one", "first blob\n");
-    j.append("key-two", "second blob\nwith two lines\n");
-  }
-  {
-    SweepJournal j(jpath);
-    EXPECT_EQ(j.replayed(), 2u);
-    EXPECT_FALSE(j.truncated_tail());
-    ASSERT_NE(j.find("key-one"), nullptr);
-    EXPECT_EQ(*j.find("key-one"), "first blob\n");
-    ASSERT_NE(j.find("key-two"), nullptr);
-    EXPECT_EQ(*j.find("key-two"), "second blob\nwith two lines\n");
-    EXPECT_EQ(j.find("key-three"), nullptr);
-  }
-  // Chop a few bytes off the end — the signature of a sweep killed
-  // mid-append. The well-formed prefix survives; the torn record is
-  // dropped and flagged.
-  fs::resize_file(jpath, fs::file_size(jpath) - 3);
-  SweepJournal j(jpath);
-  EXPECT_EQ(j.replayed(), 1u);
-  EXPECT_TRUE(j.truncated_tail());
-  ASSERT_NE(j.find("key-one"), nullptr);
-  EXPECT_EQ(j.find("key-two"), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -514,27 +484,36 @@ TEST_F(SweepOrchestrationTest, StaleFingerprintEntriesAreReExecuted) {
   EXPECT_EQ(warm.cache.stale, 0u);
 }
 
-TEST_F(SweepOrchestrationTest, ResumeAfterKilledJournalIsByteIdentical) {
+TEST_F(SweepOrchestrationTest, ResumeFromTheCacheIsByteIdentical) {
   const auto jobs = small_grid();
   const std::string fresh = sweep_json(jobs);
 
+  // Every job's entry is published as the job retires, so a killed sweep
+  // leaves the entries of its finished jobs behind. Simulate one job that
+  // never finished (entry absent) and one entry torn on disk.
   SweepOptions opt;
-  opt.journal_path = path("sweep.journal");
+  opt.cache_dir = path("cache");
+  opt.fingerprint = "fp-resume";
   (void)sim::run_microbench_sweep(jobs, opt);
-
-  // Kill simulation: tear bytes off the journal tail, losing one record.
-  const auto full_size = fs::file_size(opt.journal_path);
-  fs::resize_file(opt.journal_path, full_size - 4);
+  const auto entry = [&](usize i) {
+    const std::string key = sim::job_cache_key(jobs[i], opt.fingerprint);
+    return fs::path(opt.cache_dir) / key.substr(0, 2) / (key + ".pt");
+  };
+  ASSERT_TRUE(fs::remove(entry(1)));
+  fs::resize_file(entry(2), fs::file_size(entry(2)) / 2);
 
   const auto resumed = sim::run_microbench_sweep(jobs, opt);
-  EXPECT_EQ(resumed.cache.journal_hits, jobs.size() - 1);
+  EXPECT_EQ(resumed.cache.hits, jobs.size() - 2);
   EXPECT_EQ(resumed.cache.misses, 1u);
+  EXPECT_EQ(resumed.cache.corrupt, 1u);
+  EXPECT_EQ(resumed.cache.stale, 0u);
+  EXPECT_EQ(resumed.cache.stores, 2u);  // exactly the two lost jobs ran
   EXPECT_EQ(sim::microbench_json("orch", jobs, resumed), fresh);
 
-  // The resumed run re-journaled the lost record: a third run replays
-  // everything and executes nothing.
+  // The rerun rewrote both entries: a third run executes nothing.
   const auto replayed = sim::run_microbench_sweep(jobs, opt);
-  EXPECT_EQ(replayed.cache.journal_hits, jobs.size());
+  EXPECT_EQ(replayed.cache.hits, jobs.size());
+  EXPECT_EQ(replayed.cache.stores, 0u);
   EXPECT_EQ(sim::microbench_json("orch", jobs, replayed), fresh);
 }
 
@@ -674,18 +653,16 @@ BatchCli parse(std::vector<std::string> store) {
 
 TEST(BatchCliSweep, ParsesOrchestrationFlags) {
   const BatchCli cli = parse({"bench", "--shard=1/3", "--cache-dir=/tmp/c",
-                              "--journal=/tmp/j", "--jobs=fib.*W=2"});
+                              "--jobs=fib.*W=2"});
   EXPECT_TRUE(cli.ok);
   EXPECT_EQ(cli.shard_index, 1u);
   EXPECT_EQ(cli.shard_count, 3u);
   EXPECT_EQ(cli.cache_dir, "/tmp/c");
-  EXPECT_EQ(cli.journal_path, "/tmp/j");
   EXPECT_EQ(cli.jobs_regex, "fib.*W=2");
   const SweepOptions opt = sim::sweep_options(cli);
   EXPECT_EQ(opt.shard.index, 1u);
   EXPECT_EQ(opt.shard.count, 3u);
   EXPECT_EQ(opt.cache_dir, "/tmp/c");
-  EXPECT_EQ(opt.journal_path, "/tmp/j");
 }
 
 TEST(BatchCliSweep, RejectsMalformedOrchestrationFlags) {
@@ -693,7 +670,6 @@ TEST(BatchCliSweep, RejectsMalformedOrchestrationFlags) {
   EXPECT_FALSE(parse({"bench", "--shard=0/0"}).ok);
   EXPECT_FALSE(parse({"bench", "--shard=banana"}).ok);
   EXPECT_FALSE(parse({"bench", "--cache-dir="}).ok);
-  EXPECT_FALSE(parse({"bench", "--journal="}).ok);
   EXPECT_FALSE(parse({"bench", "--jobs=[unclosed"}).ok);  // invalid regex
   // Numeric values are plain decimal digits (parse_decimal): no sign, no
   // blanks, no trailing junk.

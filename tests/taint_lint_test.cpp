@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "isa/program_builder.h"
-#include "sim/experiment.h"
+#include "sim/batch_runner.h"
 #include "util/check.h"
 #include "workloads/registry.h"
 #include "workloads/workload_regs.h"
@@ -331,19 +331,27 @@ TEST(TaintLintRegistry, PinnedFindingsAcrossEveryWorkload) {
   }
 }
 
-TEST(TaintLintRegistry, MeasureLintCrossChecksAgainstDynamicAudit) {
+TEST(TaintLintRegistry, LintPointCrossChecksAgainstDynamicAudit) {
   security::AuditOptions opt;
   opt.samples = 4;
+  // The lint report's row: a leakage-sweep point cross-checked against
+  // the static lint of its job's spec.
+  const auto cross_check = [&](const std::string& spec) {
+    const sim::LeakageJob job = sim::leakage_grid({spec}, opt).front();
+    return sim::lint_point(job, sim::measure_leakage(job.spec, job.opt));
+  };
   const sim::LintPoint pt =
-      sim::measure_lint("synthetic.cond_branch?width=2&iters=1", opt);
+      cross_check("synthetic.cond_branch?width=2&iters=1");
   EXPECT_TRUE(pt.ok()) << pt.failure_summary();
   EXPECT_TRUE(pt.warnings.empty()) << pt.warning_summary();
   EXPECT_EQ(pt.lint.natural_legacy.findings.size(), 2u);
+  // The lint reads the job's spec, not the audit's secrets=swept form.
+  EXPECT_EQ(pt.lint.spec.find("secrets=swept"), std::string::npos)
+      << pt.lint.spec;
 
   // The pinned precision caveat: ibr is static-dirty under the SeMPE
   // policy but dynamically indistinguishable — a warning, not a failure.
-  const sim::LintPoint ibr =
-      sim::measure_lint("synthetic.ibr?width=2&iters=1", opt);
+  const sim::LintPoint ibr = cross_check("synthetic.ibr?width=2&iters=1");
   EXPECT_TRUE(ibr.ok()) << ibr.failure_summary();
   EXPECT_FALSE(ibr.warnings.empty());
 }

@@ -226,5 +226,16 @@ TEST(Check, ThrowsWithMessage) {
   }
 }
 
+TEST(Check, MessageNamesTheFileWithoutItsDirectory) {
+  try {
+    SEMPE_CHECK(1 + 1 == 3);
+    FAIL() << "should have thrown";
+  } catch (const SimError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("util_test.cpp:"), std::string::npos) << what;
+    EXPECT_EQ(what.find('/'), std::string::npos) << what;
+  }
+}
+
 }  // namespace
 }  // namespace sempe
